@@ -760,7 +760,8 @@ BENCHMARK(BM_CompiledRollout)
     ->Args({3, 0})
     ->Args({3, 1})
     ->Args({4, 0})
-    ->Args({4, 1});
+    ->Args({4, 1})
+    ->UseRealTime();
 
 /**
  * ApproxDitto rollouts per preset across skip thresholds, charting
@@ -822,7 +823,8 @@ BENCHMARK(BM_ApproxRollout)
     ->Args({3, 75})
     ->Args({4, 25})
     ->Args({4, 50})
-    ->Args({4, 75});
+    ->Args({4, 75})
+    ->UseRealTime();
 
 void
 BM_EncodingUnit(benchmark::State &state)

@@ -46,6 +46,15 @@ fillSockaddr(const std::string &path, sockaddr_un *addr, std::string *why)
 UnixListener::~UnixListener()
 {
     close();
+    releaseShut();
+}
+
+void
+UnixListener::releaseShut()
+{
+    if (shutFd_ >= 0)
+        closeFd(shutFd_);
+    shutFd_ = -1;
 }
 
 bool
@@ -54,6 +63,7 @@ UnixListener::listen(const std::string &path, std::string *why)
     sockaddr_un addr;
     if (!fillSockaddr(path, &addr, why))
         return false;
+    releaseShut();
     int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0) {
         if (why)
@@ -83,7 +93,7 @@ int
 UnixListener::accept()
 {
     for (;;) {
-        const int lfd = fd_;
+        const int lfd = fd_.load();
         if (lfd < 0)
             return -1;
         int cfd = ::accept(lfd, nullptr, nullptr);
@@ -98,12 +108,14 @@ UnixListener::accept()
 void
 UnixListener::close()
 {
-    const int fd = fd_;
-    fd_ = -1;
+    const int fd = fd_.exchange(-1);
     if (fd >= 0) {
-        // shutdown() unblocks a concurrent accept() before close.
+        // shutdown() unblocks a concurrent accept(), and one that has
+        // read `fd` but not yet entered ::accept fails at once on the
+        // shut-down socket. Closing here would let the number be
+        // reused under it; releaseShut() closes it later.
         ::shutdown(fd, SHUT_RDWR);
-        closeFd(fd);
+        shutFd_ = fd;
     }
     if (!path_.empty()) {
         ::unlink(path_.c_str());

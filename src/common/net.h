@@ -19,6 +19,7 @@
 #ifndef DITTO_COMMON_NET_H
 #define DITTO_COMMON_NET_H
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,8 +43,11 @@ struct Frame
 /**
  * Listening Unix-domain socket bound to `path` (unlinked first so a
  * stale socket file from a crashed worker does not block rebinding).
- * close() unblocks a concurrent accept(); the destructor closes and
- * unlinks.
+ * close() unblocks a concurrent accept() by shutting the socket down
+ * but does not release the descriptor: an accept() that has already
+ * read the descriptor number would otherwise race its reuse. The
+ * descriptor is closed by the next listen() or the destructor, when
+ * the caller has joined every accepting thread.
  */
 class UnixListener
 {
@@ -66,11 +70,15 @@ class UnixListener
     /** Shut the listener down; safe from another thread. */
     void close();
 
-    bool listening() const { return fd_ >= 0; }
+    bool listening() const { return fd_.load() >= 0; }
     const std::string &path() const { return path_; }
 
   private:
-    int fd_ = -1;
+    /** Close a descriptor close() shut down; no accept() may run. */
+    void releaseShut();
+
+    std::atomic<int> fd_{-1};
+    int shutFd_ = -1; //!< shut down by close(), not yet closed
     std::string path_;
 };
 

@@ -72,13 +72,46 @@ attentionScoresDiff(const Int8Tensor &q, const Int8Tensor &prev_q,
     return addTransposedInt32(partial, qdk_t);
 }
 
+namespace {
+
+/**
+ * An operand's previous-step codes: the stored ones, or codes - d
+ * reconstructed from a handed-over difference into `scratch`. Both
+ * sides of the subtraction are valid symmetric int8 codes, so the
+ * int16 difference of codes always lands back in int8 range — the
+ * reconstruction is exact. Null when the operand has neither.
+ */
+const Int8Tensor *
+previousCodes(const Int8Tensor &codes, DiffOperand diff,
+              Int8Tensor *scratch)
+{
+    DITTO_ASSERT(!(diff.prev && diff.d),
+                 "at most one of previous codes and a handed-over "
+                 "difference");
+    if (!diff.d)
+        return diff.prev;
+    DITTO_ASSERT(diff.d->shape() == codes.shape(),
+                 "payload difference shape mismatch");
+    *scratch = Int8Tensor(codes.shape());
+    auto sc = codes.data();
+    auto sd = diff.d->data();
+    auto sp = scratch->data();
+    for (size_t i = 0; i < sc.size(); ++i)
+        sp[i] = static_cast<int8_t>(static_cast<int16_t>(sc[i]) - sd[i]);
+    return scratch;
+}
+
+} // namespace
+
 Int32Tensor
 attentionScoresBatch(const Int8Tensor &q, const Int8Tensor &k,
-                     int64_t slabs, const Int8Tensor *prev_q,
-                     const Int8Tensor *prev_k,
+                     int64_t slabs, DiffOperand q_diff, DiffOperand k_diff,
                      const Int32Tensor *prev_scores, const uint8_t *primed,
                      OpCounts *counts, DiffPolicy policy)
 {
+    Int8Tensor q_scratch, k_scratch;
+    const Int8Tensor *prev_q = previousCodes(q, q_diff, &q_scratch);
+    const Int8Tensor *prev_k = previousCodes(k, k_diff, &k_scratch);
     DITTO_ASSERT(q.shape().rank() == 2 && q.shape() == k.shape() &&
                  slabs > 0 && q.shape()[0] % slabs == 0,
                  "batched attention operands must stack equal slabs");
@@ -182,104 +215,10 @@ attentionScoresBatch(const Int8Tensor &q, const Int8Tensor &k,
     return out;
 }
 
-namespace {
-
-/**
- * Reconstruct an operand's previous-step codes from a handed-over
- * payload: prev = codes - d. Both sides of the subtraction are valid
- * symmetric int8 codes, so the int16 difference of codes always lands
- * back in int8 range — the reconstruction is exact, which is what
- * makes delegation to the stored-codes bodies bitwise neutral.
- */
-Int8Tensor
-reconstructPrev(const Int8Tensor &codes, const Int16Tensor &d)
-{
-    DITTO_ASSERT(d.shape() == codes.shape(),
-                 "payload difference shape mismatch");
-    Int8Tensor prev(codes.shape());
-    auto sc = codes.data();
-    auto sd = d.data();
-    auto sp = prev.data();
-    for (size_t i = 0; i < sc.size(); ++i)
-        sp[i] = static_cast<int8_t>(static_cast<int16_t>(sc[i]) - sd[i]);
-    return prev;
-}
-
-/** One operand's previous codes: reconstructed or stored. */
-const Int8Tensor &
-operandPrev(const Int8Tensor &codes, const Int16Tensor *d,
-            const Int8Tensor *stored, Int8Tensor *scratch)
-{
-    DITTO_ASSERT((d != nullptr) != (stored != nullptr),
-                 "exactly one of payload difference and stored codes");
-    if (stored)
-        return *stored;
-    *scratch = reconstructPrev(codes, *d);
-    return *scratch;
-}
-
-} // namespace
-
-Int32Tensor
-attentionScoresPre(const Int8Tensor &q, const Int16Tensor *dq,
-                   const Int8Tensor *prev_q, const Int8Tensor &k,
-                   const Int16Tensor *dk, const Int8Tensor *prev_k,
-                   const Int32Tensor &prev_scores, OpCounts *counts,
-                   DiffPolicy policy)
-{
-    Int8Tensor qs, ks;
-    const Int8Tensor &pq = operandPrev(q, dq, prev_q, &qs);
-    const Int8Tensor &pk = operandPrev(k, dk, prev_k, &ks);
-    return attentionScoresDiff(q, pq, k, pk, prev_scores, counts, policy);
-}
-
-Int32Tensor
-attentionScoresBatchPre(const Int8Tensor &q, const Int16Tensor *dq,
-                        const Int8Tensor *prev_q, const Int8Tensor &k,
-                        const Int16Tensor *dk, const Int8Tensor *prev_k,
-                        int64_t slabs, const Int32Tensor *prev_scores,
-                        const uint8_t *primed, OpCounts *counts,
-                        DiffPolicy policy)
-{
-    Int8Tensor qs, ks;
-    const Int8Tensor &pq = operandPrev(q, dq, prev_q, &qs);
-    const Int8Tensor &pk = operandPrev(k, dk, prev_k, &ks);
-    return attentionScoresBatch(q, k, slabs, &pq, &pk, prev_scores,
-                                primed, counts, policy);
-}
-
 Int32Tensor
 attentionOutputDirect(const Int8Tensor &p, const Int8Tensor &v)
 {
     return matmulInt8(p, v);
-}
-
-Int32Tensor
-attentionOutputPre(const Int8Tensor &p, const Int16Tensor *dp,
-                   const Int8Tensor *prev_p, const Int8Tensor &v,
-                   const Int16Tensor *dv, const Int8Tensor *prev_v,
-                   const Int32Tensor &prev_out, OpCounts *counts,
-                   DiffPolicy policy)
-{
-    Int8Tensor ps, vs;
-    const Int8Tensor &pp = operandPrev(p, dp, prev_p, &ps);
-    const Int8Tensor &pv = operandPrev(v, dv, prev_v, &vs);
-    return attentionOutputDiff(p, pp, v, pv, prev_out, counts, policy);
-}
-
-Int32Tensor
-attentionOutputBatchPre(const Int8Tensor &p, const Int16Tensor *dp,
-                        const Int8Tensor *prev_p, const Int8Tensor &v,
-                        const Int16Tensor *dv, const Int8Tensor *prev_v,
-                        int64_t slabs, const Int32Tensor *prev_out,
-                        const uint8_t *primed, OpCounts *counts,
-                        DiffPolicy policy)
-{
-    Int8Tensor ps, vs;
-    const Int8Tensor &pp = operandPrev(p, dp, prev_p, &ps);
-    const Int8Tensor &pv = operandPrev(v, dv, prev_v, &vs);
-    return attentionOutputBatch(p, v, slabs, &pp, &pv, prev_out, primed,
-                                counts, policy);
 }
 
 Int32Tensor
@@ -320,11 +259,13 @@ attentionOutputDiff(const Int8Tensor &p, const Int8Tensor &prev_p,
 
 Int32Tensor
 attentionOutputBatch(const Int8Tensor &p, const Int8Tensor &v,
-                     int64_t slabs, const Int8Tensor *prev_p,
-                     const Int8Tensor *prev_v, const Int32Tensor *prev_out,
-                     const uint8_t *primed, OpCounts *counts,
-                     DiffPolicy policy)
+                     int64_t slabs, DiffOperand p_diff, DiffOperand v_diff,
+                     const Int32Tensor *prev_out, const uint8_t *primed,
+                     OpCounts *counts, DiffPolicy policy)
 {
+    Int8Tensor p_scratch, v_scratch;
+    const Int8Tensor *prev_p = previousCodes(p, p_diff, &p_scratch);
+    const Int8Tensor *prev_v = previousCodes(v, v_diff, &v_scratch);
     DITTO_ASSERT(p.shape().rank() == 2 && v.shape().rank() == 2 &&
                  slabs > 0 && p.shape()[0] % slabs == 0 &&
                  v.shape()[0] % slabs == 0,
@@ -458,44 +399,15 @@ CrossAttentionEngine::runDiff(const Int8Tensor &q, const Int8Tensor &prev_q,
 }
 
 Int32Tensor
-CrossAttentionEngine::runDiffPre(const Int8Tensor &q, const Int16Tensor &d,
-                                 const Int32Tensor &prev_scores,
-                                 OpCounts *counts, DiffPolicy policy) const
-{
-    DITTO_ASSERT(d.shape() == q.shape(),
-                 "cross attention pre-diff shape mismatch");
-    const int64_t ctx = kConst_.shape()[0];
-    const DiffClassCounts probe = countDiffClasses(d);
-    if (counts)
-        counts->merge(probeOpCounts(probe, ctx));
-    if (policy == DiffPolicy::Auto && !diffWorthIt(probe, ctx))
-        return runDirect(q);
-    const DiffGemmPlan plan = encodeDiff(d);
-    return matmulDiffPlan(plan, kConstT_, &prev_scores);
-}
-
-Int32Tensor
 CrossAttentionEngine::runBatch(const Int8Tensor &q, int64_t slabs,
-                               const Int8Tensor *prev_q,
+                               DiffOperand diff,
                                const Int32Tensor *prev_scores,
                                const uint8_t *primed, OpCounts *counts,
                                DiffPolicy policy) const
 {
-    return detail::runBatchWeightStationary(q, slabs, prev_q, prev_scores,
-                                            primed, counts, policy,
-                                            kConst_, kConstT_);
-}
-
-Int32Tensor
-CrossAttentionEngine::runBatchPre(const Int8Tensor &q, const Int16Tensor &d,
-                                  int64_t slabs,
-                                  const Int32Tensor *prev_scores,
-                                  const uint8_t *primed, OpCounts *counts,
-                                  DiffPolicy policy) const
-{
-    return detail::runBatchWeightStationaryPre(q, d, slabs, prev_scores,
-                                               primed, counts, policy,
-                                               kConst_, kConstT_);
+    return detail::runBatchWeightStationary(q, slabs, diff, prev_scores,
+                                            primed, counts, policy, kConst_,
+                                            kConstT_);
 }
 
 namespace naive {

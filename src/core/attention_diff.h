@@ -67,50 +67,23 @@ Int32Tensor attentionScoresDiff(const Int8Tensor &q,
  * attentionScoresDirect exactly — bitwise, at any thread count and
  * batch size. Unprimed slabs do not touch counts.
  *
+ * Each operand's difference comes in either DiffOperand form. A
+ * handed-over difference `d` (no previous codes were stored for the
+ * operand) yields the previous operand the expansion multiplies
+ * against as codes - d, which is exact in the integer domain, so
+ * results, probes and Defo decisions equal those of the stored-codes
+ * form. Unprimed slabs' regions of `d` must be zero (the payload
+ * emitters leave them zero-initialized).
+ *
  * @param counts per-slab tallies (array of `slabs`, or null).
  */
 Int32Tensor attentionScoresBatch(const Int8Tensor &q, const Int8Tensor &k,
-                                 int64_t slabs, const Int8Tensor *prev_q,
-                                 const Int8Tensor *prev_k,
+                                 int64_t slabs, DiffOperand q_diff,
+                                 DiffOperand k_diff,
                                  const Int32Tensor *prev_scores,
                                  const uint8_t *primed,
                                  OpCounts *counts = nullptr,
                                  DiffPolicy policy = DiffPolicy::Auto);
-
-/**
- * Difference-processed scores with per-operand payload hand-over (the
- * graph runtime's dynamic-attention counterpart of runDiffPre): each
- * operand arrives either with its producer's requantized code
- * difference `d*` (diff-calc bypassed — no previous codes were stored
- * for it) or with stored previous codes `prev_*` (exactly one of the
- * two per operand). The previous operand the two-term expansion
- * multiplies against is reconstructed as codes - d, which is exact in
- * the integer domain, so results, probes and Defo decisions are
- * bitwise identical to attentionScoresDiff on operands whose
- * subtraction equals the handed-over difference.
- */
-Int32Tensor attentionScoresPre(const Int8Tensor &q, const Int16Tensor *dq,
-                               const Int8Tensor *prev_q,
-                               const Int8Tensor &k, const Int16Tensor *dk,
-                               const Int8Tensor *prev_k,
-                               const Int32Tensor &prev_scores,
-                               OpCounts *counts = nullptr,
-                               DiffPolicy policy = DiffPolicy::Auto);
-
-/**
- * Batched attentionScoresPre over `slabs` stacked requests
- * (attentionScoresBatch semantics). Handed-over differences are
- * stacked like their codes; unprimed slabs' difference regions must
- * be zero (the payload emitters leave them zero-initialized) — the
- * reconstruction reads the whole tensor, so an unprimed slab's
- * "previous" codes come out equal to its current codes, and the
- * delegated batch body then never consumes them.
- */
-Int32Tensor attentionScoresBatchPre(
-    const Int8Tensor &q, const Int16Tensor *dq, const Int8Tensor *prev_q,
-    const Int8Tensor &k, const Int16Tensor *dk, const Int8Tensor *prev_k,
-    int64_t slabs, const Int32Tensor *prev_scores, const uint8_t *primed,
-    OpCounts *counts = nullptr, DiffPolicy policy = DiffPolicy::Auto);
 
 /** Direct weighted sum O = P V. P:[tokens,tokens], V:[tokens,d]. */
 Int32Tensor attentionOutputDirect(const Int8Tensor &p, const Int8Tensor &v);
@@ -133,28 +106,12 @@ Int32Tensor attentionOutputDiff(const Int8Tensor &p,
  * [slabs * tokens, d], the result [slabs * tokens, d].
  */
 Int32Tensor attentionOutputBatch(const Int8Tensor &p, const Int8Tensor &v,
-                                 int64_t slabs, const Int8Tensor *prev_p,
-                                 const Int8Tensor *prev_v,
+                                 int64_t slabs, DiffOperand p_diff,
+                                 DiffOperand v_diff,
                                  const Int32Tensor *prev_out,
                                  const uint8_t *primed,
                                  OpCounts *counts = nullptr,
                                  DiffPolicy policy = DiffPolicy::Auto);
-
-/** attentionScoresPre for the weighted sum (P and V operands). */
-Int32Tensor attentionOutputPre(const Int8Tensor &p, const Int16Tensor *dp,
-                               const Int8Tensor *prev_p,
-                               const Int8Tensor &v, const Int16Tensor *dv,
-                               const Int8Tensor *prev_v,
-                               const Int32Tensor &prev_out,
-                               OpCounts *counts = nullptr,
-                               DiffPolicy policy = DiffPolicy::Auto);
-
-/** Batched attentionOutputPre (attentionOutputBatch semantics). */
-Int32Tensor attentionOutputBatchPre(
-    const Int8Tensor &p, const Int16Tensor *dp, const Int8Tensor *prev_p,
-    const Int8Tensor &v, const Int16Tensor *dv, const Int8Tensor *prev_v,
-    int64_t slabs, const Int32Tensor *prev_out, const uint8_t *primed,
-    OpCounts *counts = nullptr, DiffPolicy policy = DiffPolicy::Auto);
 
 /**
  * Cross-attention scores with a constant context projection:
@@ -176,33 +133,15 @@ class CrossAttentionEngine
                         DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * Difference execution with a caller-supplied query difference
-     * (DiffFcEngine::runDiffPre semantics: the dependency analysis
-     * bypassed difference calculation, the producer handed `d` over).
-     */
-    Int32Tensor runDiffPre(const Int8Tensor &q, const Int16Tensor &d,
-                           const Int32Tensor &prev_scores,
-                           OpCounts *counts = nullptr,
-                           DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /**
      * Batched execution over `slabs` requests stacked along the query
      * row dimension (DiffFcEngine::runBatch semantics: per-slab
      * decisions, folded direct runs, one batched plan dispatch;
      * bitwise identical to per-request calls).
      */
     Int32Tensor runBatch(const Int8Tensor &q, int64_t slabs,
-                         const Int8Tensor *prev_q,
-                         const Int32Tensor *prev_scores,
+                         DiffOperand diff, const Int32Tensor *prev_scores,
                          const uint8_t *primed, OpCounts *counts = nullptr,
                          DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /** runBatch with a caller-supplied stacked query difference. */
-    Int32Tensor runBatchPre(const Int8Tensor &q, const Int16Tensor &d,
-                            int64_t slabs, const Int32Tensor *prev_scores,
-                            const uint8_t *primed,
-                            OpCounts *counts = nullptr,
-                            DiffPolicy policy = DiffPolicy::Auto) const;
 
   private:
     Int8Tensor kConst_;

@@ -240,29 +240,46 @@ DiffFcEngine::runDiff(const Int8Tensor &x, const Int8Tensor &prev_x,
     return matmulDiffPlan(plan, weightT_, &prev_out);
 }
 
-Int32Tensor
-DiffFcEngine::runDiffPre(const Int8Tensor &x, const Int16Tensor &d,
-                         const Int32Tensor &prev_out, OpCounts *counts,
-                         DiffPolicy policy) const
+namespace {
+
+/** A primed slab's difference operand is present and shaped like x. */
+void
+checkPrimedState(const Int8Tensor &x, DiffOperand diff)
 {
-    DITTO_ASSERT(d.shape() == x.shape(),
-                 "fc pre-diff operand shape mismatch");
-    const int64_t out_features = weight_.shape()[0];
-    const DiffClassCounts probe = countDiffClasses(d);
-    if (counts)
-        counts->merge(probeOpCounts(probe, out_features));
-    if (policy == DiffPolicy::Auto && !diffWorthIt(probe, out_features))
-        return runDirect(x);
-    const DiffGemmPlan plan = encodeDiff(d);
-    return matmulDiffPlan(plan, weightT_, &prev_out);
+    DITTO_ASSERT((diff.prev != nullptr) != (diff.d != nullptr),
+                 "primed slabs need exactly one of previous codes and "
+                 "a handed-over difference");
+    DITTO_ASSERT(diff.prev ? diff.prev->shape() == x.shape()
+                           : diff.d->shape() == x.shape(),
+                 "difference operand shape mismatch");
 }
+
+/** Class counts of the flat region [offset, offset + n). */
+DiffClassCounts
+probeRegion(const Int8Tensor &x, DiffOperand diff, int64_t offset,
+            int64_t n)
+{
+    return diff.d ? countDiffClasses(*diff.d, offset, n)
+                  : countTemporalDiffClasses(x, *diff.prev, offset, n);
+}
+
+/** Sparse plan of the rows x cols region at `offset`. */
+DiffGemmPlan
+encodeRegion(const Int8Tensor &x, DiffOperand diff, int64_t offset,
+             int64_t rows, int64_t cols)
+{
+    return diff.d ? encodeDiffRegion(*diff.d, offset, rows, cols)
+                  : encodeTemporalDiffRegion(x, *diff.prev, offset, rows,
+                                             cols);
+}
+
+} // namespace
 
 namespace detail {
 
 Int32Tensor
 runBatchWeightStationary(const Int8Tensor &x, int64_t slabs,
-                         const Int8Tensor *prev_x,
-                         const Int32Tensor *prev_out,
+                         DiffOperand diff, const Int32Tensor *prev_out,
                          const uint8_t *primed, OpCounts *counts,
                          DiffPolicy policy, const Int8Tensor &weight,
                          const Int8Tensor &weight_t)
@@ -282,14 +299,13 @@ runBatchWeightStationary(const Int8Tensor &x, int64_t slabs,
     for (int64_t s = 0; s < slabs; ++s) {
         if (!primed || !primed[s])
             continue;
-        DITTO_ASSERT(prev_x && prev_out,
-                     "primed slabs need previous state");
-        DITTO_ASSERT(prev_x->shape() == x.shape() &&
+        checkPrimedState(x, diff);
+        DITTO_ASSERT(prev_out &&
                      prev_out->shape() ==
                          Shape({x.shape()[0], out_features}),
-                     "batched fc previous state shape mismatch");
-        const DiffClassCounts probe = countTemporalDiffClasses(
-            x, *prev_x, s * slab_elems, slab_elems);
+                     "batched fc previous output shape mismatch");
+        const DiffClassCounts probe =
+            probeRegion(x, diff, s * slab_elems, slab_elems);
         if (counts)
             counts[s].merge(probeOpCounts(probe, out_features));
         use_diff[s] = policy == DiffPolicy::ForceDiff ||
@@ -330,87 +346,8 @@ runBatchWeightStationary(const Int8Tensor &x, int64_t slabs,
         std::memcpy(od + s * out_elems,
                     prev_out->data().data() + s * out_elems,
                     static_cast<size_t>(out_elems) * sizeof(int32_t));
-        plans.push_back(encodeTemporalDiffRegion(x, *prev_x,
-                                                 s * slab_elems, slab_rows,
-                                                 in));
-        items.push_back({&plans.back(), weight_t.data().data(),
-                         od + s * out_elems});
-    }
-    kernels::diffGemmBatch(items, out_features, /*transpose_b=*/false);
-    return out;
-}
-
-Int32Tensor
-runBatchWeightStationaryPre(const Int8Tensor &x, const Int16Tensor &d,
-                            int64_t slabs, const Int32Tensor *prev_out,
-                            const uint8_t *primed, OpCounts *counts,
-                            DiffPolicy policy, const Int8Tensor &weight,
-                            const Int8Tensor &weight_t)
-{
-    DITTO_ASSERT(x.shape().rank() == 2 && slabs > 0 &&
-                 x.shape()[0] % slabs == 0,
-                 "batched fc input must stack equal row slabs");
-    DITTO_ASSERT(d.shape() == x.shape(),
-                 "batched fc pre-diff operand shape mismatch");
-    const int64_t slab_rows = x.shape()[0] / slabs;
-    const int64_t in = x.shape()[1];
-    const int64_t out_features = weight.shape()[0];
-    const int64_t slab_elems = slab_rows * in;
-    const int64_t out_elems = slab_rows * out_features;
-
-    // Per-slab decisions, identical to runDiffPre's.
-    std::vector<uint8_t> use_diff(static_cast<size_t>(slabs), 0);
-    bool any_diff = false;
-    for (int64_t s = 0; s < slabs; ++s) {
-        if (!primed || !primed[s])
-            continue;
-        DITTO_ASSERT(prev_out &&
-                     prev_out->shape() ==
-                         Shape({x.shape()[0], out_features}),
-                     "batched fc previous output shape mismatch");
-        const DiffClassCounts probe =
-            countDiffClasses(d, s * slab_elems, slab_elems);
-        if (counts)
-            counts[s].merge(probeOpCounts(probe, out_features));
-        use_diff[s] = policy == DiffPolicy::ForceDiff ||
-                      diffWorthIt(probe, out_features);
-        any_diff |= use_diff[s] != 0;
-    }
-
-    Int32Tensor out(Shape{x.shape()[0], out_features});
-    const int8_t *xd = x.data().data();
-    int32_t *od = out.data().data();
-
-    // Contiguous direct runs fold into one GEMM each.
-    for (int64_t s = 0; s < slabs;) {
-        if (use_diff[s]) {
-            ++s;
-            continue;
-        }
-        int64_t e = s;
-        while (e < slabs && !use_diff[e])
-            ++e;
-        kernels::gemmInt8Into(xd + s * slab_elems, (e - s) * slab_rows, in,
-                              weight.data().data(), out_features,
-                              /*trans_b=*/true, od + s * out_elems);
-        s = e;
-    }
-    if (!any_diff)
-        return out;
-
-    // Diff slabs: per-slab plans over `d` regions, one batched dispatch.
-    std::vector<DiffGemmPlan> plans;
-    plans.reserve(static_cast<size_t>(slabs));
-    std::vector<kernels::DiffGemmBatchItem> items;
-    items.reserve(static_cast<size_t>(slabs));
-    for (int64_t s = 0; s < slabs; ++s) {
-        if (!use_diff[s])
-            continue;
-        std::memcpy(od + s * out_elems,
-                    prev_out->data().data() + s * out_elems,
-                    static_cast<size_t>(out_elems) * sizeof(int32_t));
         plans.push_back(
-            encodeDiffRegion(d, s * slab_elems, slab_rows, in));
+            encodeRegion(x, diff, s * slab_elems, slab_rows, in));
         items.push_back({&plans.back(), weight_t.data().data(),
                          od + s * out_elems});
     }
@@ -421,25 +358,13 @@ runBatchWeightStationaryPre(const Int8Tensor &x, const Int16Tensor &d,
 } // namespace detail
 
 Int32Tensor
-DiffFcEngine::runBatch(const Int8Tensor &x, int64_t slabs,
-                       const Int8Tensor *prev_x, const Int32Tensor *prev_out,
-                       const uint8_t *primed, OpCounts *counts,
-                       DiffPolicy policy) const
+DiffFcEngine::runBatch(const Int8Tensor &x, int64_t slabs, DiffOperand diff,
+                       const Int32Tensor *prev_out, const uint8_t *primed,
+                       OpCounts *counts, DiffPolicy policy) const
 {
-    return detail::runBatchWeightStationary(x, slabs, prev_x, prev_out,
-                                            primed, counts, policy,
-                                            weight_, weightT_);
-}
-
-Int32Tensor
-DiffFcEngine::runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
-                          int64_t slabs, const Int32Tensor *prev_out,
-                          const uint8_t *primed, OpCounts *counts,
-                          DiffPolicy policy) const
-{
-    return detail::runBatchWeightStationaryPre(x, d, slabs, prev_out,
-                                               primed, counts, policy,
-                                               weight_, weightT_);
+    return detail::runBatchWeightStationary(x, slabs, diff, prev_out, primed,
+                                            counts, policy, weight_,
+                                            weightT_);
 }
 
 DiffConvEngine::DiffConvEngine(Int8Tensor weight, Conv2dParams params)
@@ -524,40 +449,7 @@ DiffConvEngine::runDiff(const Int8Tensor &x, const Int8Tensor &prev_x,
 }
 
 Int32Tensor
-DiffConvEngine::runDiffPre(const Int8Tensor &x, const Int16Tensor &d,
-                           const Int32Tensor &prev_out, OpCounts *counts,
-                           DiffPolicy policy) const
-{
-    DITTO_ASSERT(d.shape() == x.shape(),
-                 "conv pre-diff operand shape mismatch");
-    DITTO_ASSERT(x.shape().rank() == 4, "conv diff input must be NCHW");
-    const int64_t batches = x.shape()[0];
-    const int64_t cin = x.shape()[1];
-    const int64_t h = x.shape()[2];
-    const int64_t w = x.shape()[3];
-    const int64_t cout = weight_.shape()[0];
-    const int64_t per_elem = std::max<int64_t>(
-        1, cout * params_.kernel * params_.kernel /
-               (params_.stride * params_.stride));
-
-    const DiffClassCounts probe = countDiffClasses(d);
-    if (counts)
-        counts->merge(probeOpCounts(probe, per_elem));
-    if (policy == DiffPolicy::Auto &&
-        !diffWorthIt(probe, params_.kernel * cout))
-        return runDirect(x);
-
-    std::vector<DiffGemmPlan> plans;
-    plans.reserve(static_cast<size_t>(batches));
-    for (int64_t b = 0; b < batches; ++b)
-        plans.push_back(encodeDiffRegion(d, b * cin * h * w, cin, h * w));
-    const Int32Tensor delta =
-        convDeltaDiffPlanBatch(plans, wmatT_, wrevT_, params_, h, w);
-    return addConvDeltaInt32(prev_out, delta);
-}
-
-Int32Tensor
-DiffConvEngine::runBatch(const Int8Tensor &x, const Int8Tensor *prev_x,
+DiffConvEngine::runBatch(const Int8Tensor &x, DiffOperand diff,
                          const Int32Tensor *prev_out, const uint8_t *primed,
                          OpCounts *counts, DiffPolicy policy) const
 {
@@ -580,13 +472,12 @@ DiffConvEngine::runBatch(const Int8Tensor &x, const Int8Tensor *prev_x,
     for (int64_t b = 0; b < batches; ++b) {
         if (!primed || !primed[b])
             continue;
-        DITTO_ASSERT(prev_x && prev_out,
-                     "primed slabs need previous state");
-        DITTO_ASSERT(prev_x->shape() == x.shape() &&
+        checkPrimedState(x, diff);
+        DITTO_ASSERT(prev_out &&
                      prev_out->shape() == Shape({batches, cout, oh, ow}),
-                     "batched conv previous state shape mismatch");
-        const DiffClassCounts probe = countTemporalDiffClasses(
-            x, *prev_x, b * slab_elems, slab_elems);
+                     "batched conv previous output shape mismatch");
+        const DiffClassCounts probe =
+            probeRegion(x, diff, b * slab_elems, slab_elems);
         if (counts)
             counts[b].merge(probeOpCounts(probe, per_elem));
         use_diff[b] = policy == DiffPolicy::ForceDiff ||
@@ -626,99 +517,8 @@ DiffConvEngine::runBatch(const Int8Tensor &x, const Int8Tensor *prev_x,
     for (int64_t b = 0; b < batches; ++b) {
         if (!use_diff[b])
             continue;
-        plans[static_cast<size_t>(b)] = encodeTemporalDiffRegion(
-            x, *prev_x, b * slab_elems, cin, h * w);
-        items.push_back({&plans[static_cast<size_t>(b)],
-                         delta.data().data() +
-                             delta_slab[static_cast<size_t>(b)] * oh *
-                                 ow * cout});
-    }
-    kernels::convDiffScatterBatch(items, wmatT_.data().data(),
-                                  wrevT_.data().data(), params_, h, w);
-    for (int64_t b = 0; b < batches;) {
-        if (!use_diff[b]) {
-            ++b;
-            continue;
-        }
-        int64_t e = b;
-        while (e < batches && use_diff[e])
-            ++e;
-        kernels::addConvDeltaInto(*prev_out, delta, b, e - b,
-                                  delta_slab[static_cast<size_t>(b)],
-                                  &out);
-        b = e;
-    }
-    return out;
-}
-
-Int32Tensor
-DiffConvEngine::runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
-                            const Int32Tensor *prev_out,
-                            const uint8_t *primed, OpCounts *counts,
-                            DiffPolicy policy) const
-{
-    DITTO_ASSERT(x.shape().rank() == 4, "conv batch input must be NCHW");
-    DITTO_ASSERT(d.shape() == x.shape(),
-                 "batched conv pre-diff operand shape mismatch");
-    const int64_t batches = x.shape()[0];
-    const int64_t cin = x.shape()[1];
-    const int64_t h = x.shape()[2];
-    const int64_t w = x.shape()[3];
-    const int64_t oh = params_.outExtent(h);
-    const int64_t ow = params_.outExtent(w);
-    const int64_t cout = weight_.shape()[0];
-    const int64_t slab_elems = cin * h * w;
-    const int64_t per_elem = std::max<int64_t>(
-        1, cout * params_.kernel * params_.kernel /
-               (params_.stride * params_.stride));
-
-    // Per-slab decisions, identical to a single-batch runDiffPre.
-    std::vector<uint8_t> use_diff(static_cast<size_t>(batches), 0);
-    bool any_diff = false;
-    for (int64_t b = 0; b < batches; ++b) {
-        if (!primed || !primed[b])
-            continue;
-        DITTO_ASSERT(prev_out &&
-                     prev_out->shape() == Shape({batches, cout, oh, ow}),
-                     "batched conv previous output shape mismatch");
-        const DiffClassCounts probe =
-            countDiffClasses(d, b * slab_elems, slab_elems);
-        if (counts)
-            counts[b].merge(probeOpCounts(probe, per_elem));
-        use_diff[b] = policy == DiffPolicy::ForceDiff ||
-                      diffWorthIt(probe, params_.kernel * cout);
-        any_diff |= use_diff[b] != 0;
-    }
-
-    Int32Tensor out(Shape{batches, cout, oh, ow});
-    for (int64_t b = 0; b < batches;) {
-        if (use_diff[b]) {
-            ++b;
-            continue;
-        }
-        int64_t e = b;
-        while (e < batches && !use_diff[e])
-            ++e;
-        kernels::conv2dInt8Into(x, weight_, params_, b, e - b, &out);
-        b = e;
-    }
-    if (!any_diff)
-        return out;
-
-    std::vector<DiffGemmPlan> plans(static_cast<size_t>(batches));
-    std::vector<kernels::ConvScatterBatchItem> items;
-    items.reserve(static_cast<size_t>(batches));
-    std::vector<int64_t> delta_slab(static_cast<size_t>(batches), -1);
-    int64_t n_diff = 0;
-    for (int64_t b = 0; b < batches; ++b)
-        if (use_diff[b])
-            delta_slab[static_cast<size_t>(b)] = n_diff++;
-    Int32Tensor delta(Shape{n_diff * oh * ow, cout});
-    for (int64_t b = 0; b < batches; ++b) {
-        if (!use_diff[b])
-            continue;
         plans[static_cast<size_t>(b)] =
-            encodeDiffRegion(d, b * slab_elems, cin, h * w);
+            encodeRegion(x, diff, b * slab_elems, cin, h * w);
         items.push_back({&plans[static_cast<size_t>(b)],
                          delta.data().data() +
                              delta_slab[static_cast<size_t>(b)] * oh *

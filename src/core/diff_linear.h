@@ -144,6 +144,23 @@ OpCounts probeOpCounts(const DiffClassCounts &probe,
 bool diffWorthIt(const DiffClassCounts &probe, int64_t n);
 
 /**
+ * Where a batched entry point takes the difference of its primed
+ * slabs from. Either the caller stored the previous step's codes
+ * (`prev`, x's shape) and the engine subtracts them, or the dependency
+ * analysis bypassed difference calculation and the producer handed the
+ * code difference x - prev over (`d`, int16, x's shape), so no previous
+ * codes exist. At most one is set; both may be null while no slab is
+ * primed. The two forms differ only in the probe and the plan encoder:
+ * on operands whose subtraction equals `d` they make the same Defo
+ * decisions and produce the same bits.
+ */
+struct DiffOperand
+{
+    const Int8Tensor *prev = nullptr;
+    const Int16Tensor *d = nullptr;
+};
+
+/**
  * Fully-connected layer with temporal difference processing.
  *
  * Holds the quantized weight; callers drive it step by step.
@@ -173,21 +190,6 @@ class DiffFcEngine
                         DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * Difference execution with a caller-supplied difference operand:
-     * `d` is x - prev_x already subtracted — the graph runtime hands
-     * it over when the dependency analysis says the producer's output
-     * is already a difference, so this layer stores no previous input
-     * codes. Bitwise identical to runDiff on operands whose
-     * subtraction equals `d` (same probe, same plan, same decision).
-     * `x` is still needed for the direct fallback when the probe
-     * reverts.
-     */
-    Int32Tensor runDiffPre(const Int8Tensor &x, const Int16Tensor &d,
-                           const Int32Tensor &prev_out,
-                           OpCounts *counts = nullptr,
-                           DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /**
      * Batched execution over `slabs` requests stacked along the row
      * dimension: x is [slabs * rows, in]; slab s covers rows
      * [s * rows, (s+1) * rows). Per slab the engine makes exactly the
@@ -198,30 +200,18 @@ class DiffFcEngine
      * dispatch. Bitwise identical to per-request runDirect/runDiff at
      * any thread count and batch size.
      *
-     * @param prev_x stacked previous codes (may be null when no slab
-     *        is primed).
-     * @param prev_out stacked previous outputs (same condition).
+     * @param diff stacked previous codes or handed-over difference
+     *        (see DiffOperand); unprimed slabs never read it.
+     * @param prev_out stacked previous outputs (may be null when no
+     *        slab is primed).
      * @param primed per-slab flags; unprimed slabs run direct and do
      *        not touch counts.
      * @param counts per-slab tallies (array of `slabs`, or null).
      */
     Int32Tensor runBatch(const Int8Tensor &x, int64_t slabs,
-                         const Int8Tensor *prev_x,
-                         const Int32Tensor *prev_out,
+                         DiffOperand diff, const Int32Tensor *prev_out,
                          const uint8_t *primed, OpCounts *counts = nullptr,
                          DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /**
-     * runBatch with a caller-supplied stacked difference `d` (int16,
-     * x's shape): per-slab probes and plans read slab regions of `d`
-     * instead of subtracting stored previous codes. Unprimed slabs run
-     * direct and never read their `d` region.
-     */
-    Int32Tensor runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
-                            int64_t slabs, const Int32Tensor *prev_out,
-                            const uint8_t *primed,
-                            OpCounts *counts = nullptr,
-                            DiffPolicy policy = DiffPolicy::Auto) const;
 
     const Int8Tensor &weight() const { return weight_; }
 
@@ -254,35 +244,19 @@ class DiffConvEngine
                         DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * Difference execution with a caller-supplied NCHW difference
-     * (DiffFcEngine::runDiffPre semantics: the dependency analysis
-     * bypassed difference calculation, the producer handed `d` over).
-     */
-    Int32Tensor runDiffPre(const Int8Tensor &x, const Int16Tensor &d,
-                           const Int32Tensor &prev_out,
-                           OpCounts *counts = nullptr,
-                           DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /**
      * Batched execution over the batch dimension of a stacked NCHW
-     * input: slab b is x[b]. Per-slab decisions exactly as runDiff
-     * makes them for a single-batch tensor; direct runs fold into
-     * batched convolutions, diff slabs into one batched scatter
-     * dispatch (slab-parallel — including the 1x1 fast path that is
-     * serial per slab in runDiff). Bitwise identical to per-request
-     * execution at any thread count and batch size.
+     * input: slab b is x[b], `diff` stacks like x (DiffOperand).
+     * Per-slab decisions exactly as runDiff makes them for a
+     * single-batch tensor; direct runs fold into batched convolutions,
+     * diff slabs into one batched scatter dispatch (slab-parallel —
+     * including the 1x1 fast path that is serial per slab in runDiff).
+     * Bitwise identical to per-request execution at any thread count
+     * and batch size.
      */
-    Int32Tensor runBatch(const Int8Tensor &x, const Int8Tensor *prev_x,
+    Int32Tensor runBatch(const Int8Tensor &x, DiffOperand diff,
                          const Int32Tensor *prev_out, const uint8_t *primed,
                          OpCounts *counts = nullptr,
                          DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /** runBatch with a caller-supplied stacked NCHW difference. */
-    Int32Tensor runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
-                            const Int32Tensor *prev_out,
-                            const uint8_t *primed,
-                            OpCounts *counts = nullptr,
-                            DiffPolicy policy = DiffPolicy::Auto) const;
 
     const Conv2dParams &params() const { return params_; }
 
@@ -303,26 +277,12 @@ namespace detail {
  * Bitwise identical to per-slab runDirect/runDiff calls.
  */
 Int32Tensor runBatchWeightStationary(const Int8Tensor &x, int64_t slabs,
-                                     const Int8Tensor *prev_x,
+                                     DiffOperand diff,
                                      const Int32Tensor *prev_out,
                                      const uint8_t *primed,
                                      OpCounts *counts, DiffPolicy policy,
                                      const Int8Tensor &weight,
                                      const Int8Tensor &weight_t);
-
-/**
- * runBatchWeightStationary with a caller-supplied stacked difference
- * (the diff-calc-bypass counterpart): probes and plans read slab
- * regions of `d`; everything else — per-slab decisions, folded direct
- * runs, one batched plan dispatch — is identical.
- */
-Int32Tensor runBatchWeightStationaryPre(const Int8Tensor &x,
-                                        const Int16Tensor &d, int64_t slabs,
-                                        const Int32Tensor *prev_out,
-                                        const uint8_t *primed,
-                                        OpCounts *counts, DiffPolicy policy,
-                                        const Int8Tensor &weight,
-                                        const Int8Tensor &weight_t);
 
 } // namespace detail
 

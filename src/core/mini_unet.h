@@ -30,7 +30,6 @@ class MiniUnet
 {
   public:
     using DittoState = CompiledModel::DittoState;
-    using BatchDittoState = CompiledModel::BatchDittoState;
 
     explicit MiniUnet(MiniUnetConfig cfg)
         : cfg_(cfg), model_(compile(miniUnetSpec(cfg)))
@@ -73,7 +72,7 @@ class MiniUnet
     /** One evaluation for a stacked batch of requests. */
     FloatTensor
     forwardBatch(const FloatTensor &x, RunMode mode,
-                 BatchDittoState *state, OpCounts *counts) const
+                 DittoState *state, OpCounts *counts) const
     {
         return model_.forwardBatch(x, mode, state, counts);
     }

@@ -1,9 +1,9 @@
 /**
  * @file
- * CompiledModel implementation: compile() and the three executors
- * (FP32, quantized single, quantized batch).
+ * CompiledModel implementation: compile() and the two executors (FP32
+ * and the batched quantized one; a single request is a batch of one).
  *
- * The quantized executors mirror the historic hand-wired MiniUnet
+ * The quantized executor mirrors the historic hand-wired MiniUnet
  * paths call for call — quantize, engine entry point, dequantize, the
  * same float ops between — which is what makes compiled execution of
  * the MiniUnet preset bitwise identical to the legacy implementation
@@ -188,18 +188,22 @@ requantCodes(const Int32Tensor &acc, float combined, const QuantParams &qp)
 }
 
 /**
- * Requantize the current accumulator and emit both the codes and
- * their difference against the previous step's emission (the
- * producer-resident code cache) — the diff-calc-bypass payload.
- * `prev` is the same requantization of the previous accumulator, so
- * `d16` equals subtractInt8(codes_t, codes_prev) element for element
- * and a consumer running on it is bitwise identical to one that
- * stored the previous codes itself — without re-running the float
- * requantization of the previous step.
+ * Requantize the current accumulator and emit both the codes and,
+ * for primed slabs, their difference against the previous step's
+ * emission (the producer-resident code cache) — the diff-calc-bypass
+ * payload. `prev` is the same requantization of the previous
+ * accumulator, so a primed slab's `d16` region equals
+ * subtractInt8(codes_t, codes_prev) element for element and a
+ * consumer running on it is bitwise identical to one that stored the
+ * previous codes itself — without re-running the float
+ * requantization of the previous step. Unprimed slabs get codes only
+ * (their `d16` region stays zero and is never read, exactly like an
+ * unprimed slab's engine state).
  */
 void
 requantCodesDelta(const Int32Tensor &acc, const Int8Tensor &prev,
-                  float combined, const QuantParams &qp, Int8Tensor *codes,
+                  float combined, const QuantParams &qp,
+                  const uint8_t *primed, int64_t slabs, Int8Tensor *codes,
                   Int16Tensor *d16)
 {
     DITTO_ASSERT(prev.shape() == acc.shape(),
@@ -209,56 +213,23 @@ requantCodesDelta(const Int32Tensor &acc, const Int8Tensor &prev,
     const float inv = 1.0f / qp.scale;
     const float lo = static_cast<float>(qp.minCode());
     const float hi = static_cast<float>(qp.maxCode());
+    const size_t slab_elems = static_cast<size_t>(acc.numel() / slabs);
     auto sa = acc.data();
     auto sp = prev.data();
     auto sc = codes->data();
     auto sd = d16->data();
-    for (size_t i = 0; i < sa.size(); ++i) {
-        const int8_t ct = requantOne(sa[i], combined, inv, lo, hi);
-        sc[i] = ct;
-        sd[i] = static_cast<int16_t>(static_cast<int16_t>(ct) -
-                                     static_cast<int16_t>(sp[i]));
-    }
-}
-
-/**
- * Batched payload: per-slab primed flags — unprimed slabs get codes
- * only (their `d16` region stays zero and is never read, exactly like
- * an unprimed slab's engine state).
- */
-void
-requantCodesDeltaBatch(const Int32Tensor &acc, const Int8Tensor *prev,
-                       float combined, const QuantParams &qp,
-                       const uint8_t *primed, int64_t slabs,
-                       Int8Tensor *codes, Int16Tensor *d16)
-{
-    *codes = Int8Tensor(acc.shape());
-    *d16 = Int16Tensor(acc.shape());
-    const float inv = 1.0f / qp.scale;
-    const float lo = static_cast<float>(qp.minCode());
-    const float hi = static_cast<float>(qp.maxCode());
-    const int64_t slab_elems = acc.numel() / slabs;
-    auto sa = acc.data();
-    auto sc = codes->data();
-    auto sd = d16->data();
     for (int64_t s = 0; s < slabs; ++s) {
-        const int64_t base = s * slab_elems;
-        if (primed && primed[s]) {
-            DITTO_ASSERT(prev && prev->numel() == acc.numel(),
-                         "primed payload slab needs its code cache");
-            auto sp = prev->data();
-            for (int64_t i = base; i < base + slab_elems; ++i) {
-                const int8_t ct = requantOne(sa[static_cast<size_t>(i)],
-                                             combined, inv, lo, hi);
-                sc[static_cast<size_t>(i)] = ct;
-                sd[static_cast<size_t>(i)] = static_cast<int16_t>(
-                    static_cast<int16_t>(ct) -
-                    static_cast<int16_t>(sp[static_cast<size_t>(i)]));
+        const size_t base = static_cast<size_t>(s) * slab_elems;
+        if (primed[s]) {
+            for (size_t i = base; i < base + slab_elems; ++i) {
+                const int8_t ct = requantOne(sa[i], combined, inv, lo, hi);
+                sc[i] = ct;
+                sd[i] = static_cast<int16_t>(static_cast<int16_t>(ct) -
+                                             static_cast<int16_t>(sp[i]));
             }
         } else {
-            for (int64_t i = base; i < base + slab_elems; ++i)
-                sc[static_cast<size_t>(i)] = requantOne(
-                    sa[static_cast<size_t>(i)], combined, inv, lo, hi);
+            for (size_t i = base; i < base + slab_elems; ++i)
+                sc[i] = requantOne(sa[i], combined, inv, lo, hi);
         }
     }
 }
@@ -324,64 +295,10 @@ stackedShape(const Shape &one, int64_t b)
     return Shape{one[0] * b, one[1]};
 }
 
-/**
- * Shared per-node epilogue of the four quant-executor compute paths
- * (single/batch x weight-stationary/attention): payload emission plus
- * code-cache refresh, f-liveness-gated float materialization, the
- * mode-specific operand code-state stores, and the accumulator's
- * disposition (value table for QuantDirect junction sources, prevOut
- * slot in Ditto mode). The call sites differ only in how a primed
- * payload delta is produced (single vs per-slab) and how summation
- * work is counted, passed in as lambdas — one definition to keep the
- * single and batched modes from silently diverging.
- *
- * `emit_stash` (ApproxDitto passes only) parks the pre-update emission
- * cache, indexed by slot: a hand-over consumer that decides to skip
- * this step must roll its producer's cache back to the emission its
- * replayed output corresponds to, so the next executed step's delta
- * telescopes across the skipped one exactly.
- */
-template <typename Node, typename Value, typename State,
-          typename EmitDeltaFn, typename CountSumFn, typename StoreFn>
-void
-nodeEpilogue(const Node &nd, Value &out, Int32Tensor &acc, float combined,
-             bool use_ditto, State *state,
-             const std::vector<float> &act_scale, bool any_primed,
-             Int8Tensor *emit_stash, EmitDeltaFn &&emitDelta,
-             CountSumFn &&countSum, StoreFn &&storeCodes)
-{
-    if (nd.emitPayload) {
-        const QuantParams eqp{
-            act_scale[static_cast<size_t>(nd.emitScale)], 8};
-        if (any_primed)
-            emitDelta(eqp, combined);
-        else
-            out.codes = requantCodes(acc, combined, eqp);
-        // The emission becomes the next step's subtrahend.
-        if (use_ditto) {
-            Int8Tensor &cache =
-                state->prevIn[static_cast<size_t>(nd.emitSlot)];
-            if (emit_stash)
-                emit_stash[static_cast<size_t>(nd.emitSlot)] =
-                    std::move(cache);
-            cache = out.codes;
-        }
-    }
-    if (nd.fLive) {
-        out.f = dequantizeAccum(acc, combined);
-        countSum();
-    }
-    storeCodes();
-    if (nd.keepAcc && !use_ditto)
-        out.acc = std::move(acc);
-    else if (use_ditto)
-        state->prevOut[static_cast<size_t>(nd.outSlot)] = std::move(acc);
-}
-
 } // namespace
 
 void
-CompiledModel::BatchDittoState::appendSlabs(int64_t count)
+CompiledModel::DittoState::appendSlabs(int64_t count)
 {
     DITTO_ASSERT(count > 0, "appendSlabs needs a positive count");
     const int64_t b = batch();
@@ -407,7 +324,7 @@ CompiledModel::BatchDittoState::appendSlabs(int64_t count)
 }
 
 void
-CompiledModel::BatchDittoState::removeSlab(int64_t i)
+CompiledModel::DittoState::removeSlab(int64_t i)
 {
     const int64_t b = batch();
     DITTO_ASSERT(i >= 0 && i < b, "removeSlab index out of range");
@@ -445,7 +362,7 @@ CompiledModel::BatchDittoState::removeSlab(int64_t i)
 }
 
 void
-CompiledModel::BatchDittoState::resetSlab(int64_t i)
+CompiledModel::DittoState::resetSlab(int64_t i)
 {
     const int64_t b = batch();
     DITTO_ASSERT(i >= 0 && i < b, "resetSlab index out of range");
@@ -473,7 +390,7 @@ CompiledModel::BatchDittoState::resetSlab(int64_t i)
 }
 
 int64_t
-CompiledModel::BatchDittoState::SlabState::payloadBytes() const
+CompiledModel::DittoState::SlabState::payloadBytes() const
 {
     int64_t b = 0;
     for (const auto &t : prevIn)
@@ -487,8 +404,8 @@ CompiledModel::BatchDittoState::SlabState::payloadBytes() const
     return b;
 }
 
-CompiledModel::BatchDittoState::SlabState
-CompiledModel::BatchDittoState::extractSlab(int64_t i) const
+CompiledModel::DittoState::SlabState
+CompiledModel::DittoState::extractSlab(int64_t i) const
 {
     const int64_t b = batch();
     DITTO_ASSERT(i >= 0 && i < b, "extractSlab index out of range");
@@ -535,7 +452,7 @@ CompiledModel::BatchDittoState::extractSlab(int64_t i) const
 }
 
 void
-CompiledModel::BatchDittoState::installSlab(int64_t i, const SlabState &s)
+CompiledModel::DittoState::installSlab(int64_t i, const SlabState &s)
 {
     const int64_t b = batch();
     DITTO_ASSERT(i >= 0 && i < b, "installSlab index out of range");
@@ -858,363 +775,14 @@ CompiledModel::runStructural(const Node &nd, std::vector<Value> &vals,
 }
 
 FloatTensor
-CompiledModel::forwardQuant(const FloatTensor &x, bool use_ditto,
-                            bool approx, DittoState *state,
-                            OpCounts *counts) const
-{
-    DITTO_ASSERT(!use_ditto || state != nullptr,
-                 "Ditto mode needs persistent state");
-    DITTO_ASSERT(!approx || use_ditto,
-                 "ApproxDitto runs on the Ditto state machinery");
-    const bool primed = use_ditto && state->primed;
-    if (use_ditto && state->prevIn.empty()) {
-        state->prevIn.resize(static_cast<size_t>(numInSlots_));
-        state->prevOut.resize(static_cast<size_t>(numOutSlots_));
-    }
-    if (approx && state->consec.size() != nodes_.size()) {
-        state->consec.assign(nodes_.size(), 0);
-        state->skips.assign(nodes_.size(), 0);
-    }
-    // Skips are only legal on primed steps (there is a cached output
-    // to replay). The stash holds every emitting producer's pre-update
-    // code cache so a skipping consumer can roll it back.
-    const bool approx_pass = approx && primed;
-    std::vector<Int8Tensor> emit_stash(
-        approx_pass ? static_cast<size_t>(numInSlots_) : 0);
-    Int8Tensor *stash = approx_pass ? emit_stash.data() : nullptr;
-
-    std::vector<Value> vals(nodes_.size());
-    for (const Node &nd : nodes_) {
-        const NodeSpec &ns = nd.spec;
-        Value &out = vals[static_cast<size_t>(ns.id)];
-        auto inVal = [&](int j) -> Value & {
-            return vals[static_cast<size_t>(
-                ns.inputs[static_cast<size_t>(j)])];
-        };
-
-        // Weight-stationary compute: one engine, one dynamic operand.
-        if (ns.op == RtOp::Conv2d || ns.op == RtOp::Fc ||
-            ns.op == RtOp::CrossScores || ns.op == RtOp::CrossOutput) {
-            Value &in = inVal(0);
-            const QuantParams qp{
-                actScale_[static_cast<size_t>(ns.scaleIn)], 8};
-            // The operand arrives pre-quantized in this node's code
-            // domain from a junction fold or a single-producer
-            // payload; everyone else quantizes the float input.
-            Int8Tensor codes;
-            Int16Tensor jd16;
-            const Int16Tensor *dptr = nullptr;
-            if (nd.junction) {
-                const uint8_t one = 1;
-                runJunction(nd, vals,
-                            use_ditto ? &state->prevOut : nullptr,
-                            primed ? state
-                                         ->prevIn[static_cast<size_t>(
-                                             nd.jSlot)]
-                                         .data()
-                                         .data()
-                                   : nullptr,
-                            primed ? &one : nullptr, 1, &codes, &jd16);
-                if (primed)
-                    dptr = &jd16;
-            } else if (nd.diffBypass) {
-                DITTO_ASSERT(in.codes.numel() > 0,
-                             "bypass payload missing codes");
-                codes = std::move(in.codes);
-                if (primed) {
-                    DITTO_ASSERT(in.d16.numel() > 0,
-                                 "bypass payload missing difference");
-                    dptr = &in.d16;
-                }
-            } else {
-                codes = quantize(in.f, qp);
-            }
-
-            // ApproxDitto: probe the operand's temporal difference and
-            // replay the cached previous output when it is stable
-            // enough. Every operand form reuses its step's difference
-            // reference: a handed-over delta, a junction fold's delta,
-            // or the stored previous codes.
-            bool skipped = false;
-            if (approx_pass) {
-                int32_t &consec =
-                    state->consec[static_cast<size_t>(ns.id)];
-                if (consec < approxCap_) {
-                    const DiffClassCounts pc =
-                        dptr ? countDiffClasses(*dptr)
-                             : countTemporalDiffClasses(
-                                   codes,
-                                   state->prevIn[static_cast<size_t>(
-                                       nd.inSlot)]);
-                    skipped = approxActivity(pc) <= approxThresh_;
-                }
-                if (skipped) {
-                    ++consec;
-                    ++state->skips[static_cast<size_t>(ns.id)];
-                } else {
-                    consec = 0;
-                }
-            }
-
-            Int32Tensor acc;
-            if (skipped) {
-                // Replay, and freeze the difference reference to the
-                // operand this output corresponds to: the next
-                // executed step's delta then telescopes across the
-                // skipped one exactly (out = prevOut + W(x_{t+1} -
-                // x_{t-1})), so the error stays confined to skipped
-                // steps.
-                acc = state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.junction) {
-                    codes =
-                        state->prevIn[static_cast<size_t>(nd.jSlot)];
-                } else if (nd.diffBypass) {
-                    const Node &prod =
-                        nodes_[static_cast<size_t>(nd.srcProducer)];
-                    Int8Tensor &old = emit_stash[static_cast<size_t>(
-                        prod.emitSlot)];
-                    DITTO_ASSERT(old.numel() > 0,
-                                 "skip needs the producer's stashed "
-                                 "emission cache");
-                    state->prevIn[static_cast<size_t>(prod.emitSlot)] =
-                        std::move(old);
-                } else {
-                    codes =
-                        state->prevIn[static_cast<size_t>(nd.inSlot)];
-                }
-                if (counts)
-                    counts->reusedElems += acc.numel();
-            } else if (!primed) {
-                if (nd.conv)
-                    acc = nd.conv->runDirect(codes);
-                else if (nd.cross)
-                    acc = nd.cross->runDirect(codes);
-                else
-                    acc = nd.fc->runDirect(codes);
-            } else if (dptr) {
-                const Int32Tensor &prev =
-                    state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.conv)
-                    acc = nd.conv->runDiffPre(codes, *dptr, prev, counts,
-                                              opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runDiffPre(codes, *dptr, prev,
-                                               counts, opts_.policy);
-                else
-                    acc = nd.fc->runDiffPre(codes, *dptr, prev, counts,
-                                            opts_.policy);
-            } else {
-                const Int8Tensor &prev_in =
-                    state->prevIn[static_cast<size_t>(nd.inSlot)];
-                const Int32Tensor &prev_out =
-                    state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.conv)
-                    acc = nd.conv->runDiff(codes, prev_in, prev_out,
-                                           counts, opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runDiff(codes, prev_in, prev_out,
-                                            counts, opts_.policy);
-                else
-                    acc = nd.fc->runDiff(codes, prev_in, prev_out, counts,
-                                         opts_.policy);
-                if (counts)
-                    counts->diffCalcElems += codes.numel();
-            }
-
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDelta(
-                        acc,
-                        state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, &out.codes, &out.d16);
-                },
-                [&] {
-                    if (counts && primed)
-                        counts->summationElems += acc.numel();
-                },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(codes);
-                    else if (nd.junction)
-                        state->prevIn[static_cast<size_t>(nd.jSlot)] =
-                            std::move(codes);
-                });
-            continue;
-        }
-
-        // Dynamic-dynamic attention: two operands, two-term expansion,
-        // either operand possibly handed over by its producer.
-        if (ns.op == RtOp::AttnScores || ns.op == RtOp::AttnOutput) {
-            Value &av = inVal(0);
-            Value &bv = inVal(1);
-            const QuantParams qpa{
-                actScale_[static_cast<size_t>(ns.scaleIn)], 8};
-            const QuantParams qpb{
-                actScale_[static_cast<size_t>(ns.scaleIn2)], 8};
-            Int8Tensor a_codes, b_codes;
-            if (nd.diffBypass) {
-                DITTO_ASSERT(av.codes.numel() > 0,
-                             "operand payload missing codes");
-                a_codes = std::move(av.codes);
-            } else {
-                a_codes = quantize(av.f, qpa);
-            }
-            if (nd.diffBypass2) {
-                DITTO_ASSERT(bv.codes.numel() > 0,
-                             "operand payload missing codes");
-                b_codes = std::move(bv.codes);
-            } else {
-                b_codes = quantize(bv.f, qpb);
-            }
-
-            // ApproxDitto is all-or-nothing per attention node: both
-            // operands must be stable (every expansion term carries a
-            // difference factor of one operand or the other).
-            bool skipped = false;
-            if (approx_pass) {
-                int32_t &consec =
-                    state->consec[static_cast<size_t>(ns.id)];
-                if (consec < approxCap_) {
-                    const DiffClassCounts ca =
-                        nd.diffBypass
-                            ? countDiffClasses(av.d16)
-                            : countTemporalDiffClasses(
-                                  a_codes,
-                                  state->prevIn[static_cast<size_t>(
-                                      nd.inSlot)]);
-                    const DiffClassCounts cb =
-                        nd.diffBypass2
-                            ? countDiffClasses(bv.d16)
-                            : countTemporalDiffClasses(
-                                  b_codes,
-                                  state->prevIn[static_cast<size_t>(
-                                      nd.inSlot2)]);
-                    skipped = approxActivity(ca) <= approxThresh_ &&
-                              approxActivity(cb) <= approxThresh_;
-                }
-                if (skipped) {
-                    ++consec;
-                    ++state->skips[static_cast<size_t>(ns.id)];
-                } else {
-                    consec = 0;
-                }
-            }
-
-            Int32Tensor acc;
-            if (skipped) {
-                acc = state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.diffBypass) {
-                    const Node &prod =
-                        nodes_[static_cast<size_t>(nd.srcProducer)];
-                    state->prevIn[static_cast<size_t>(prod.emitSlot)] =
-                        std::move(emit_stash[static_cast<size_t>(
-                            prod.emitSlot)]);
-                } else {
-                    a_codes =
-                        state->prevIn[static_cast<size_t>(nd.inSlot)];
-                }
-                if (nd.diffBypass2) {
-                    const Node &prod =
-                        nodes_[static_cast<size_t>(nd.srcProducer2)];
-                    state->prevIn[static_cast<size_t>(prod.emitSlot)] =
-                        std::move(emit_stash[static_cast<size_t>(
-                            prod.emitSlot)]);
-                } else {
-                    b_codes =
-                        state->prevIn[static_cast<size_t>(nd.inSlot2)];
-                }
-                if (counts)
-                    counts->reusedElems += acc.numel();
-            } else if (!primed) {
-                acc = ns.op == RtOp::AttnScores
-                          ? attentionScoresDirect(a_codes, b_codes)
-                          : attentionOutputDirect(a_codes, b_codes);
-            } else {
-                const Int16Tensor *da = nullptr;
-                const Int8Tensor *pa = nullptr;
-                if (nd.diffBypass) {
-                    DITTO_ASSERT(av.d16.numel() > 0,
-                                 "operand payload missing difference");
-                    da = &av.d16;
-                } else {
-                    pa = &state->prevIn[static_cast<size_t>(nd.inSlot)];
-                }
-                const Int16Tensor *db = nullptr;
-                const Int8Tensor *pb = nullptr;
-                if (nd.diffBypass2) {
-                    DITTO_ASSERT(bv.d16.numel() > 0,
-                                 "operand payload missing difference");
-                    db = &bv.d16;
-                } else {
-                    pb = &state->prevIn[static_cast<size_t>(nd.inSlot2)];
-                }
-                const Int32Tensor &prev_out =
-                    state->prevOut[static_cast<size_t>(nd.outSlot)];
-                acc = ns.op == RtOp::AttnScores
-                          ? attentionScoresPre(a_codes, da, pa, b_codes,
-                                               db, pb, prev_out, counts,
-                                               opts_.policy)
-                          : attentionOutputPre(a_codes, da, pa, b_codes,
-                                               db, pb, prev_out, counts,
-                                               opts_.policy);
-                if (counts)
-                    counts->diffCalcElems +=
-                        (pa ? a_codes.numel() : 0) +
-                        (pb ? b_codes.numel() : 0);
-            }
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDelta(
-                        acc,
-                        state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, &out.codes, &out.d16);
-                },
-                [&] {
-                    if (counts && primed)
-                        counts->summationElems += acc.numel();
-                },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(a_codes);
-                    if (nd.inSlot2 >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot2)] =
-                            std::move(b_codes);
-                });
-            continue;
-        }
-
-        // Vector / structural ops on full values; reshapes also carry
-        // the bypass payload through unchanged (element bijections).
-        // Plan-covered junction subtrees never execute.
-        if (!nd.skipExec)
-            runStructural(nd, vals, x);
-    }
-    if (use_ditto)
-        state->primed = true;
-    DITTO_ASSERT(vals.back().f.numel() > 0,
-                 "output node must materialize full values");
-    return std::move(vals.back().f);
-}
-
-FloatTensor
 CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
-                                 bool approx, BatchDittoState *state,
+                                 bool approx, DittoState *state,
                                  OpCounts *counts) const
 {
     DITTO_ASSERT(x.shape().rank() == 4, "batched input must be NCHW");
     const int64_t bsz = x.shape()[0];
     DITTO_ASSERT(!use_ditto || state != nullptr,
-                 "Ditto mode needs persistent batch state");
+                 "Ditto mode needs persistent state");
     DITTO_ASSERT(!use_ditto || state->batch() == bsz,
                  "batch state size mismatch");
     DITTO_ASSERT(!approx || use_ditto,
@@ -1224,19 +792,16 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
         state->prevOut.resize(static_cast<size_t>(numOutSlots_));
     }
     const uint8_t *primed = use_ditto ? state->primed.data() : nullptr;
-    auto anyPrimed = [&] {
-        if (!primed)
-            return false;
-        for (int64_t s = 0; s < bsz; ++s)
-            if (primed[s])
-                return true;
-        return false;
-    };
-    const bool have_primed = anyPrimed();
+    bool have_primed = false;
+    for (int64_t s = 0; primed && s < bsz; ++s)
+        have_primed |= primed[s] != 0;
 
     // ApproxDitto bookkeeping: per-slab enables (the serving layer
     // mixes exact and approx requests in one batch; exact slabs are
-    // never skipped) and [slab][node] skip counters.
+    // never skipped) and [slab][node] skip counters. Skips are only
+    // legal on primed slabs (there is a cached output to replay). The
+    // stash holds every emitting producer's pre-update code cache so a
+    // skipping consumer can roll it back.
     if (approx) {
         DITTO_ASSERT(state->approx.size() == static_cast<size_t>(bsz),
                      "approx batch needs per-slab approx flags");
@@ -1257,13 +822,13 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
         any_approx |= slabApprox(s);
     std::vector<Int8Tensor> emit_stash(
         any_approx ? static_cast<size_t>(numInSlots_) : 0);
-    Int8Tensor *stash = any_approx ? emit_stash.data() : nullptr;
     const size_t nnodes = nodes_.size();
 
-    // Previous-state slot pointer, or null while not materialized (the
-    // engines only dereference state for primed slabs).
+    // Previous-state slot pointer, or null for no slot / while not
+    // materialized (the engines only dereference state for primed
+    // slabs).
     auto prevIn = [&](int slot) -> const Int8Tensor * {
-        return use_ditto &&
+        return use_ditto && slot >= 0 &&
                        state->prevIn[static_cast<size_t>(slot)].numel() > 0
                    ? &state->prevIn[static_cast<size_t>(slot)]
                    : nullptr;
@@ -1275,42 +840,65 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                    ? &state->prevOut[static_cast<size_t>(slot)]
                    : nullptr;
     };
-    // Per-slab tallies for work done against stored previous state.
-    auto countDiffCalc = [&](int64_t elems_per_slab) {
-        if (!counts || !primed)
-            return;
-        for (int64_t s = 0; s < bsz; ++s)
+    // Per-slab tallies of work done on primed slabs.
+    auto countPrimed = [&](int64_t OpCounts::*field,
+                           int64_t elems_per_slab) {
+        for (int64_t s = 0; counts && primed && s < bsz; ++s)
             if (primed[s])
-                counts[s].diffCalcElems += elems_per_slab;
+                counts[s].*field += elems_per_slab;
     };
-    auto countSummation = [&](int64_t elems_per_slab) {
-        if (!counts || !primed)
-            return;
-        for (int64_t s = 0; s < bsz; ++s)
-            if (primed[s])
-                counts[s].summationElems += elems_per_slab;
+
+    /**
+     * One dynamic operand of a compute node. It arrives as codes in the
+     * node's own code domain plus, on primed passes, a handed-over
+     * difference (a producer's payload or a junction fold), or it is
+     * quantized from float here and differenced against stored codes.
+     */
+    struct Operand
+    {
+        Int8Tensor codes;
+        Int16Tensor d16;     //!< handed-over difference (primed passes)
+        bool handed = false; //!< difference handed over, not computed
+        int codeSlot = -1;   //!< state slot caching the codes across
+                             //!< steps (stored codes or a fold's
+                             //!< emission); -1 for a payload hand-over
+        int producer = -1;   //!< payload producer node (hand-over only)
+    };
+    // The engines' view of an operand's difference.
+    auto diffOf = [&](const Operand &op) {
+        if (op.handed)
+            return DiffOperand{.d = op.d16.numel() > 0 ? &op.d16 : nullptr};
+        return DiffOperand{.prev = prevIn(op.codeSlot)};
     };
 
     std::vector<Value> vals(nodes_.size());
     for (const Node &nd : nodes_) {
         const NodeSpec &ns = nd.spec;
         Value &out = vals[static_cast<size_t>(ns.id)];
-        auto inVal = [&](int j) -> Value & {
-            return vals[static_cast<size_t>(
-                ns.inputs[static_cast<size_t>(j)])];
-        };
+        if (!rtIsCompute(ns.op)) {
+            // Vector / structural ops on full values; reshapes also
+            // carry the bypass payload through unchanged (element
+            // bijections). Plan-covered junction subtrees never
+            // execute.
+            if (!nd.skipExec)
+                runStructural(nd, vals, x);
+            continue;
+        }
 
-        if (ns.op == RtOp::Conv2d || ns.op == RtOp::Fc ||
-            ns.op == RtOp::CrossScores || ns.op == RtOp::CrossOutput) {
-            Value &in = inVal(0);
-            const QuantParams qp{
-                actScale_[static_cast<size_t>(ns.scaleIn)], 8};
-            Int8Tensor codes;
-            Int16Tensor jd16;
-            const Int16Tensor *dptr = nullptr;
-            if (nd.junction) {
-                runJunction(nd, vals,
-                            use_ditto ? &state->prevOut : nullptr,
+        // Weight-stationary nodes (one engine) take one dynamic
+        // operand, dynamic-dynamic attention two (the two-term
+        // expansion), each possibly handed over by its producer.
+        const bool attn =
+            ns.op == RtOp::AttnScores || ns.op == RtOp::AttnOutput;
+        const int nops = attn ? 2 : 1;
+        Operand ops[2];
+        for (int j = 0; j < nops; ++j) {
+            Operand &op = ops[j];
+            Value &in = vals[static_cast<size_t>(
+                ns.inputs[static_cast<size_t>(j)])];
+            op.handed = j == 0 ? nd.diffBypass : nd.diffBypass2;
+            if (j == 0 && nd.junction) {
+                runJunction(nd, vals, use_ditto ? &state->prevOut : nullptr,
                             have_primed
                                 ? state
                                       ->prevIn[static_cast<size_t>(
@@ -1318,374 +906,172 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                                       .data()
                                       .data()
                                 : nullptr,
-                            primed, bsz, &codes, &jd16);
-                if (have_primed)
-                    dptr = &jd16;
-            } else if (nd.diffBypass) {
+                            primed, bsz, &op.codes, &op.d16);
+                op.codeSlot = nd.jSlot;
+            } else if (op.handed) {
                 DITTO_ASSERT(in.codes.numel() > 0,
                              "bypass payload missing codes");
-                codes = std::move(in.codes);
-                if (have_primed) {
-                    DITTO_ASSERT(in.d16.numel() > 0,
-                                 "bypass payload missing difference");
-                    jd16 = std::move(in.d16);
-                    dptr = &jd16;
-                }
+                DITTO_ASSERT(!have_primed || in.d16.numel() > 0,
+                             "bypass payload missing difference");
+                op.codes = std::move(in.codes);
+                op.d16 = std::move(in.d16);
+                op.producer = j == 0 ? nd.srcProducer : nd.srcProducer2;
             } else {
-                codes = quantize(in.f, qp);
+                const int scale = j == 0 ? ns.scaleIn : ns.scaleIn2;
+                op.codes = quantize(
+                    in.f, QuantParams{actScale_[static_cast<size_t>(scale)],
+                                      8});
+                op.codeSlot = j == 0 ? nd.inSlot : nd.inSlot2;
             }
-
-            // ApproxDitto per-slab skip decisions: a skipped slab's
-            // difference region is forced to zero (and its frozen
-            // codes re-stored), which makes the batched engines
-            // reproduce the replay bitwise — out = prevOut + W*0 —
-            // while non-skipped slabs run unchanged. When every slab
-            // skips, the engine call is bypassed entirely.
-            std::vector<uint8_t> skip_slab;
-            bool any_skip = false;
-            bool all_skip = false;
-            if (any_approx) {
-                skip_slab.assign(static_cast<size_t>(bsz), 0);
-                all_skip = true;
-                const int64_t in_elems = codes.numel() / bsz;
-                for (int64_t s = 0; s < bsz; ++s) {
-                    bool sk = false;
-                    if (slabApprox(s)) {
-                        int32_t &consec = state->consec
-                            [static_cast<size_t>(s) * nnodes +
-                             static_cast<size_t>(ns.id)];
-                        if (consec < approxCap_) {
-                            const DiffClassCounts pc =
-                                dptr ? countDiffClasses(*dptr,
-                                                        s * in_elems,
-                                                        in_elems)
-                                     : countTemporalDiffClasses(
-                                           codes,
-                                           state->prevIn
-                                               [static_cast<size_t>(
-                                                   nd.inSlot)],
-                                           s * in_elems, in_elems);
-                            sk = approxActivity(pc) <= approxThresh_;
-                        }
-                        if (sk) {
-                            ++consec;
-                            ++state->skips
-                                  [static_cast<size_t>(s) * nnodes +
-                                   static_cast<size_t>(ns.id)];
-                        } else {
-                            consec = 0;
-                        }
-                    }
-                    skip_slab[static_cast<size_t>(s)] = sk;
-                    any_skip |= sk;
-                    all_skip &= sk;
-                }
-            }
-            if (any_skip) {
-                const int64_t in_elems = codes.numel() / bsz;
-                const int64_t out_elems = ns.outShape.numel();
-                for (int64_t s = 0; s < bsz; ++s) {
-                    if (!skip_slab[static_cast<size_t>(s)])
-                        continue;
-                    if (nd.junction) {
-                        // Freeze the fold: re-emit the previous
-                        // cached codes, zero the delta region.
-                        copySlabRegion(
-                            state->prevIn[static_cast<size_t>(
-                                nd.jSlot)],
-                            &codes, s, in_elems);
-                        zeroSlabRegion(&jd16, s, in_elems);
-                    } else if (nd.diffBypass) {
-                        zeroSlabRegion(&jd16, s, in_elems);
-                        const Node &prod = nodes_[static_cast<size_t>(
-                            nd.srcProducer)];
-                        copySlabRegion(
-                            emit_stash[static_cast<size_t>(
-                                prod.emitSlot)],
-                            &state->prevIn[static_cast<size_t>(
-                                prod.emitSlot)],
-                            s, in_elems);
-                    } else {
-                        copySlabRegion(
-                            state->prevIn[static_cast<size_t>(
-                                nd.inSlot)],
-                            &codes, s, in_elems);
-                    }
-                    if (counts)
-                        counts[s].reusedElems += out_elems;
-                }
-            }
-
-            Int32Tensor acc;
-            if (all_skip) {
-                acc = *prevOut(nd.outSlot);
-            } else if (dptr) {
-                if (nd.conv)
-                    acc = nd.conv->runBatchPre(codes, *dptr,
-                                               prevOut(nd.outSlot),
-                                               primed, counts,
-                                               opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runBatchPre(codes, *dptr, bsz,
-                                                prevOut(nd.outSlot),
-                                                primed, counts,
-                                                opts_.policy);
-                else
-                    acc = nd.fc->runBatchPre(codes, *dptr, bsz,
-                                             prevOut(nd.outSlot), primed,
-                                             counts, opts_.policy);
-            } else if (nd.diffBypass || nd.junction) {
-                // No slab is primed yet: no payload difference exists
-                // and none is needed — every slab runs direct through
-                // the ordinary batched entry point (which skips all
-                // unprimed slabs' state entirely).
-                if (nd.conv)
-                    acc = nd.conv->runBatch(codes, nullptr, nullptr,
-                                            primed, counts,
-                                            opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runBatch(codes, bsz, nullptr,
-                                             nullptr, primed, counts,
-                                             opts_.policy);
-                else
-                    acc = nd.fc->runBatch(codes, bsz, nullptr, nullptr,
-                                          primed, counts, opts_.policy);
-            } else {
-                if (nd.conv)
-                    acc = nd.conv->runBatch(codes, prevIn(nd.inSlot),
-                                            prevOut(nd.outSlot), primed,
-                                            counts, opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runBatch(codes, bsz,
-                                             prevIn(nd.inSlot),
-                                             prevOut(nd.outSlot), primed,
-                                             counts, opts_.policy);
-                else
-                    acc = nd.fc->runBatch(codes, bsz, prevIn(nd.inSlot),
-                                          prevOut(nd.outSlot), primed,
-                                          counts, opts_.policy);
-                countDiffCalc(codes.numel() / bsz);
-            }
-
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, have_primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDeltaBatch(
-                        acc,
-                        &state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, primed, bsz, &out.codes,
-                        &out.d16);
-                },
-                [&] { countSummation(acc.numel() / bsz); },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(codes);
-                    else if (nd.junction)
-                        state->prevIn[static_cast<size_t>(nd.jSlot)] =
-                            std::move(codes);
-                });
-            continue;
         }
 
-        if (ns.op == RtOp::AttnScores || ns.op == RtOp::AttnOutput) {
-            Value &av = inVal(0);
-            Value &bv = inVal(1);
-            const QuantParams qpa{
-                actScale_[static_cast<size_t>(ns.scaleIn)], 8};
-            const QuantParams qpb{
-                actScale_[static_cast<size_t>(ns.scaleIn2)], 8};
-            Int8Tensor a_codes, b_codes;
-            if (nd.diffBypass) {
-                DITTO_ASSERT(av.codes.numel() > 0,
-                             "operand payload missing codes");
-                a_codes = std::move(av.codes);
-            } else {
-                a_codes = quantize(av.f, qpa);
-            }
-            if (nd.diffBypass2) {
-                DITTO_ASSERT(bv.codes.numel() > 0,
-                             "operand payload missing codes");
-                b_codes = std::move(bv.codes);
-            } else {
-                b_codes = quantize(bv.f, qpb);
-            }
-            // ApproxDitto: all-or-nothing per slab across both
-            // operands, then zero the skipped slabs' difference
-            // regions (every expansion term carries a difference
-            // factor, so the batched engine reproduces the replay
-            // bitwise for those slabs).
-            std::vector<uint8_t> skip_slab;
-            bool any_skip = false;
-            bool all_skip = false;
-            if (any_approx) {
-                skip_slab.assign(static_cast<size_t>(bsz), 0);
-                all_skip = true;
-                const int64_t a_elems = a_codes.numel() / bsz;
-                const int64_t b_elems = b_codes.numel() / bsz;
-                for (int64_t s = 0; s < bsz; ++s) {
-                    bool sk = false;
-                    if (slabApprox(s)) {
-                        int32_t &consec = state->consec
-                            [static_cast<size_t>(s) * nnodes +
-                             static_cast<size_t>(ns.id)];
-                        if (consec < approxCap_) {
-                            const DiffClassCounts ca =
-                                nd.diffBypass
-                                    ? countDiffClasses(av.d16,
-                                                       s * a_elems,
-                                                       a_elems)
-                                    : countTemporalDiffClasses(
-                                          a_codes,
-                                          state->prevIn
-                                              [static_cast<size_t>(
-                                                  nd.inSlot)],
-                                          s * a_elems, a_elems);
-                            const DiffClassCounts cb =
-                                nd.diffBypass2
-                                    ? countDiffClasses(bv.d16,
-                                                       s * b_elems,
-                                                       b_elems)
-                                    : countTemporalDiffClasses(
-                                          b_codes,
-                                          state->prevIn
-                                              [static_cast<size_t>(
-                                                  nd.inSlot2)],
-                                          s * b_elems, b_elems);
-                            sk = approxActivity(ca) <= approxThresh_ &&
-                                 approxActivity(cb) <= approxThresh_;
-                        }
-                        if (sk) {
-                            ++consec;
-                            ++state->skips
-                                  [static_cast<size_t>(s) * nnodes +
-                                   static_cast<size_t>(ns.id)];
-                        } else {
-                            consec = 0;
-                        }
+        // ApproxDitto per-slab skip decisions, all-or-nothing across a
+        // node's operands (every attention expansion term carries a
+        // difference factor of one operand or the other). A skipped
+        // slab's difference region is forced to zero and its frozen
+        // codes re-stored, which makes the batched engines reproduce
+        // the replay bitwise — out = prevOut + W*0 — while the other
+        // slabs run unchanged; the frozen reference makes the next
+        // executed step's delta telescope across the skipped one
+        // exactly. When every slab skips, the engine call is bypassed
+        // entirely.
+        std::vector<uint8_t> skip_slab(
+            any_approx ? static_cast<size_t>(bsz) : 0, 0);
+        bool any_skip = false;
+        bool all_skip = any_approx;
+        for (int64_t s = 0; any_approx && s < bsz; ++s) {
+            bool sk = false;
+            if (slabApprox(s)) {
+                const size_t at = static_cast<size_t>(s) * nnodes +
+                                  static_cast<size_t>(ns.id);
+                if (state->consec[at] < approxCap_) {
+                    sk = true;
+                    for (int j = 0; j < nops; ++j) {
+                        const Operand &op = ops[j];
+                        const int64_t n = op.codes.numel() / bsz;
+                        const DiffClassCounts pc =
+                            op.handed
+                                ? countDiffClasses(op.d16, s * n, n)
+                                : countTemporalDiffClasses(
+                                      op.codes,
+                                      state->prevIn[static_cast<size_t>(
+                                          op.codeSlot)],
+                                      s * n, n);
+                        sk = sk && approxActivity(pc) <= approxThresh_;
                     }
-                    skip_slab[static_cast<size_t>(s)] = sk;
-                    any_skip |= sk;
-                    all_skip &= sk;
+                }
+                if (sk) {
+                    ++state->consec[at];
+                    ++state->skips[at];
+                } else {
+                    state->consec[at] = 0;
                 }
             }
-            if (any_skip) {
-                const int64_t a_elems = a_codes.numel() / bsz;
-                const int64_t b_elems = b_codes.numel() / bsz;
-                const int64_t out_elems = ns.outShape.numel();
-                for (int64_t s = 0; s < bsz; ++s) {
-                    if (!skip_slab[static_cast<size_t>(s)])
-                        continue;
-                    if (nd.diffBypass) {
-                        zeroSlabRegion(&av.d16, s, a_elems);
-                        const Node &prod = nodes_[static_cast<size_t>(
-                            nd.srcProducer)];
-                        copySlabRegion(
-                            emit_stash[static_cast<size_t>(
-                                prod.emitSlot)],
-                            &state->prevIn[static_cast<size_t>(
-                                prod.emitSlot)],
-                            s, a_elems);
-                    } else {
-                        copySlabRegion(
-                            state->prevIn[static_cast<size_t>(
-                                nd.inSlot)],
-                            &a_codes, s, a_elems);
-                    }
-                    if (nd.diffBypass2) {
-                        zeroSlabRegion(&bv.d16, s, b_elems);
-                        const Node &prod = nodes_[static_cast<size_t>(
-                            nd.srcProducer2)];
-                        copySlabRegion(
-                            emit_stash[static_cast<size_t>(
-                                prod.emitSlot)],
-                            &state->prevIn[static_cast<size_t>(
-                                prod.emitSlot)],
-                            s, b_elems);
-                    } else {
-                        copySlabRegion(
-                            state->prevIn[static_cast<size_t>(
-                                nd.inSlot2)],
-                            &b_codes, s, b_elems);
-                    }
-                    if (counts)
-                        counts[s].reusedElems += out_elems;
+            skip_slab[static_cast<size_t>(s)] = sk;
+            any_skip |= sk;
+            all_skip &= sk;
+        }
+        for (int64_t s = 0; any_skip && s < bsz; ++s) {
+            if (!skip_slab[static_cast<size_t>(s)])
+                continue;
+            for (int j = 0; j < nops; ++j) {
+                Operand &op = ops[j];
+                const int64_t n = op.codes.numel() / bsz;
+                if (op.codeSlot >= 0)
+                    copySlabRegion(
+                        state->prevIn[static_cast<size_t>(op.codeSlot)],
+                        &op.codes, s, n);
+                if (op.handed)
+                    zeroSlabRegion(&op.d16, s, n);
+                if (op.producer >= 0) {
+                    const int slot =
+                        nodes_[static_cast<size_t>(op.producer)].emitSlot;
+                    copySlabRegion(
+                        emit_stash[static_cast<size_t>(slot)],
+                        &state->prevIn[static_cast<size_t>(slot)], s, n);
                 }
             }
+            if (counts)
+                counts[s].reusedElems += ns.outShape.numel();
+        }
 
-            Int32Tensor acc;
-            if (all_skip) {
-                acc = *prevOut(nd.outSlot);
-            } else if (have_primed) {
-                DITTO_ASSERT(!nd.diffBypass || av.d16.numel() > 0,
-                             "operand payload missing difference");
-                DITTO_ASSERT(!nd.diffBypass2 || bv.d16.numel() > 0,
-                             "operand payload missing difference");
-                const Int16Tensor *da =
-                    nd.diffBypass ? &av.d16 : nullptr;
-                const Int8Tensor *pa =
-                    nd.diffBypass ? nullptr : prevIn(nd.inSlot);
-                const Int16Tensor *db =
-                    nd.diffBypass2 ? &bv.d16 : nullptr;
-                const Int8Tensor *pb =
-                    nd.diffBypass2 ? nullptr : prevIn(nd.inSlot2);
+        Int32Tensor acc;
+        if (all_skip) {
+            acc = *prevOut(nd.outSlot);
+        } else {
+            // A skipped slab runs the engine over a zero difference only
+            // to reproduce its replay, so it keeps the tallies of a
+            // replay: none, exactly as when the whole batch skips.
+            std::vector<OpCounts> kept;
+            if (any_skip && counts)
+                kept.assign(counts, counts + bsz);
+            const Int32Tensor *po = prevOut(nd.outSlot);
+            const DiffOperand d0 = diffOf(ops[0]);
+            if (attn) {
+                const DiffOperand d1 = diffOf(ops[1]);
                 acc = ns.op == RtOp::AttnScores
-                          ? attentionScoresBatchPre(
-                                a_codes, da, pa, b_codes, db, pb, bsz,
-                                prevOut(nd.outSlot), primed, counts,
-                                opts_.policy)
-                          : attentionOutputBatchPre(
-                                a_codes, da, pa, b_codes, db, pb, bsz,
-                                prevOut(nd.outSlot), primed, counts,
-                                opts_.policy);
-                if (counts && primed) {
-                    const int64_t per_slab =
-                        (pa ? a_codes.numel() / bsz : 0) +
-                        (pb ? b_codes.numel() / bsz : 0);
-                    for (int64_t s = 0; s < bsz; ++s)
-                        if (primed[s])
-                            counts[s].diffCalcElems += per_slab;
-                }
-            } else {
-                acc = ns.op == RtOp::AttnScores
-                          ? attentionScoresBatch(a_codes, b_codes, bsz,
-                                                 nullptr, nullptr,
-                                                 nullptr, primed, counts,
+                          ? attentionScoresBatch(ops[0].codes,
+                                                 ops[1].codes, bsz, d0,
+                                                 d1, po, primed, counts,
                                                  opts_.policy)
-                          : attentionOutputBatch(a_codes, b_codes, bsz,
-                                                 nullptr, nullptr,
-                                                 nullptr, primed, counts,
+                          : attentionOutputBatch(ops[0].codes,
+                                                 ops[1].codes, bsz, d0,
+                                                 d1, po, primed, counts,
                                                  opts_.policy);
+            } else if (nd.conv) {
+                acc = nd.conv->runBatch(ops[0].codes, d0, po, primed,
+                                        counts, opts_.policy);
+            } else if (nd.cross) {
+                acc = nd.cross->runBatch(ops[0].codes, bsz, d0, po,
+                                         primed, counts, opts_.policy);
+            } else {
+                acc = nd.fc->runBatch(ops[0].codes, bsz, d0, po, primed,
+                                      counts, opts_.policy);
             }
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, have_primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDeltaBatch(
-                        acc,
-                        &state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, primed, bsz, &out.codes,
-                        &out.d16);
-                },
-                [&] { countSummation(acc.numel() / bsz); },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(a_codes);
-                    if (nd.inSlot2 >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot2)] =
-                            std::move(b_codes);
-                });
-            continue;
+            for (int j = 0; j < nops; ++j)
+                if (!ops[j].handed)
+                    countPrimed(&OpCounts::diffCalcElems,
+                                ops[j].codes.numel() / bsz);
+            for (int64_t s = 0; !kept.empty() && s < bsz; ++s)
+                if (skip_slab[static_cast<size_t>(s)])
+                    counts[s] = kept[static_cast<size_t>(s)];
         }
 
-        if (!nd.skipExec)
-            runStructural(nd, vals, x);
+        // Payload emission plus code-cache refresh: the emission
+        // becomes the next step's subtrahend (stashed first on approx
+        // passes, for a skipping consumer to roll back).
+        const float combined = combinedScale(nd);
+        if (nd.emitPayload) {
+            const QuantParams eqp{
+                actScale_[static_cast<size_t>(nd.emitScale)], 8};
+            if (have_primed)
+                requantCodesDelta(
+                    acc, state->prevIn[static_cast<size_t>(nd.emitSlot)],
+                    combined, eqp, primed, bsz, &out.codes, &out.d16);
+            else
+                out.codes = requantCodes(acc, combined, eqp);
+            if (use_ditto) {
+                Int8Tensor &cache =
+                    state->prevIn[static_cast<size_t>(nd.emitSlot)];
+                if (any_approx)
+                    emit_stash[static_cast<size_t>(nd.emitSlot)] =
+                        std::move(cache);
+                cache = out.codes;
+            }
+        }
+        if (nd.fLive) {
+            out.f = dequantizeAccum(acc, combined);
+            countPrimed(&OpCounts::summationElems, acc.numel() / bsz);
+        }
+        if (use_ditto)
+            for (int j = 0; j < nops; ++j)
+                if (ops[j].codeSlot >= 0)
+                    state->prevIn[static_cast<size_t>(ops[j].codeSlot)] =
+                        std::move(ops[j].codes);
+        if (nd.keepAcc && !use_ditto)
+            out.acc = std::move(acc);
+        else if (use_ditto)
+            state->prevOut[static_cast<size_t>(nd.outSlot)] = std::move(acc);
     }
     if (use_ditto)
         std::fill(state->primed.begin(), state->primed.end(), 1);
@@ -1699,25 +1085,21 @@ CompiledModel::forward(const FloatTensor &x, RunMode mode,
                        DittoState *state, OpCounts *counts) const
 {
     validateSingle(x, "forward");
-    switch (mode) {
-      case RunMode::Fp32:
-        return forwardFp32(x, nullptr);
-      case RunMode::QuantDirect:
-        return forwardQuant(x, /*use_ditto=*/false, /*approx=*/false,
-                            nullptr, nullptr);
-      case RunMode::QuantDitto:
-        return forwardQuant(x, /*use_ditto=*/true, /*approx=*/false,
-                            state, counts);
-      case RunMode::ApproxDitto:
-        return forwardQuant(x, /*use_ditto=*/true, /*approx=*/true,
-                            state, counts);
+    if (state && state->batch() == 0) {
+        state->appendSlab();
+        state->approx[0] = mode == RunMode::ApproxDitto ? 1 : 0;
     }
-    DITTO_PANIC("unknown RunMode");
+    if (state && state->batch() != 1)
+        DITTO_FATAL("forward: a single request needs a one-slab "
+                    "DittoState, got "
+                    << state->batch()
+                    << " slabs (forwardBatch runs batches)");
+    return forwardBatch(x, mode, state, counts);
 }
 
 FloatTensor
 CompiledModel::forwardBatch(const FloatTensor &x, RunMode mode,
-                            BatchDittoState *state, OpCounts *counts) const
+                            DittoState *state, OpCounts *counts) const
 {
     const Shape &want = spec_.inputShape;
     if (x.shape().rank() != 4 || x.shape()[1] != want[1] ||
@@ -1864,8 +1246,8 @@ CompiledModel::rolloutBatch(RunMode mode,
                   x.data().begin() + b * slab);
     }
 
-    BatchDittoState state;
-    state.primed.assign(static_cast<size_t>(bsz), 0);
+    DittoState state;
+    state.appendSlabs(bsz);
     state.approx.assign(static_cast<size_t>(bsz),
                         mode == RunMode::ApproxDitto ? 1 : 0);
     std::vector<OpCounts> counts(static_cast<size_t>(bsz));

@@ -14,8 +14,9 @@
  *    compute producer through reshape-only wire: the node stores *no*
  *    previous-input codes. Its producer requantizes its own resident
  *    accumulator pair into the consumer's code domain and hands the
- *    code difference over (runDiffPre) — the software realization of
- *    "the producer's output is already a difference".
+ *    code difference over (the engine takes it as its DiffOperand) —
+ *    the software realization of "the producer's output is already a
+ *    difference".
  *  - diffCalcNeeded == false and the operand arrives through a
  *    junction subtree (Add / Concat, optionally one Upsample2x /
  *    AvgPool2x hop) of compute producers: the node owns a
@@ -45,10 +46,13 @@
  * and every spec runs bit-identical with useDependencyAnalysis on and
  * off. See docs/graph_runtime.md for the scale-alignment algebra.
  *
- * The compiled surface mirrors the historic MiniUnet API: forward /
- * forwardBatch / rollout / rolloutBatch / requestNoise with
- * DittoState / BatchDittoState, so the serving layer (src/serve/)
- * drives any compiled spec. Activation scales are calibrated by an
+ * There is one quantized executor, and it is batched: a single request
+ * is a batch of one. forward / rollout run it on a one-slab DittoState,
+ * forwardBatch / rolloutBatch and the serving layer (src/serve/) on
+ * many slabs of the same state type, so every compiled spec is served
+ * and every kernel path exists once. The compiled surface mirrors the
+ * historic MiniUnet API (forward / forwardBatch / rollout /
+ * rolloutBatch / requestNoise). Activation scales are calibrated by an
  * FP32 rollout and disk-cached keyed on the spec's content hash
  * (src/trace/calibrate.h).
  */
@@ -105,35 +109,21 @@ struct CompileOptions
 class CompiledModel
 {
   public:
-    /** Per-layer state for difference processing across steps. */
+    /**
+     * Per-layer difference state of a batch of concurrent Ditto
+     * requests, threaded across steps: every slot holds the requests'
+     * tensors stacked along the batch (NCHW) or row (token-matrix)
+     * dimension, with one primed flag per slab. A single request is a
+     * batch of one — forward() sizes a default-constructed state to one
+     * slab. Slab b of every slot always belongs to the same request;
+     * the serving layer edits the batch with appendSlabs / removeSlab /
+     * resetSlab as requests join or finish (see src/serve/).
+     */
     struct DittoState
     {
         std::vector<Int8Tensor> prevIn;   //!< previous input codes
         std::vector<Int32Tensor> prevOut; //!< previous int32 outputs
-        bool primed = false;
-
-        /**
-         * ApproxDitto bookkeeping, one entry per program node (lazily
-         * sized by the first approx pass; exact modes never touch it):
-         * the node's current consecutive-skip run and its total skips.
-         */
-        std::vector<int32_t> consec;
-        std::vector<int64_t> skips;
-    };
-
-    /**
-     * Per-layer state for a *batch* of concurrent Ditto requests:
-     * every slot holds the requests' tensors stacked along the batch
-     * (NCHW) or row (token-matrix) dimension, one primed flag per
-     * slab. Slab b of every slot always belongs to the same request;
-     * the serving layer edits the batch with appendSlabs / removeSlab
-     * / resetSlab as requests join or finish (see src/serve/).
-     */
-    struct BatchDittoState
-    {
-        std::vector<Int8Tensor> prevIn;
-        std::vector<Int32Tensor> prevOut;
-        std::vector<uint8_t> primed;
+        std::vector<uint8_t> primed;      //!< one flag per slab
 
         /**
          * Per-slab ApproxDitto enable: slab b may only be skipped when
@@ -145,8 +135,9 @@ class CompiledModel
 
         /**
          * ApproxDitto bookkeeping in [slab][node] layout (stride =
-         * node count), lazily sized by the first approx pass: per-slab
-         * consecutive-skip runs and total skip counts.
+         * node count), lazily sized by the first approx pass (exact
+         * modes never touch it): per-slab consecutive-skip runs and
+         * total skip counts.
          */
         std::vector<int32_t> consec;
         std::vector<int64_t> skips;
@@ -305,8 +296,11 @@ class CompiledModel
 
     /**
      * One denoising-model evaluation (predicted noise), x shaped
-     * inputShape(). `state` is required (and used) only for
-     * RunMode::QuantDitto; pass the same object for consecutive steps.
+     * inputShape(): forwardBatch on a batch of one. `state` is required
+     * (and used) only for the Ditto modes; pass the same object for
+     * consecutive steps. A default-constructed state is sized to one
+     * slab on first use, its approx flag set from `mode`; a state
+     * holding any other number of slabs is rejected loudly.
      */
     FloatTensor forward(const FloatTensor &x, RunMode mode,
                         DittoState *state, OpCounts *counts) const;
@@ -314,17 +308,16 @@ class CompiledModel
     /**
      * One evaluation for a stacked batch of requests: x is
      * [B, C, H, W] and every request's slab is computed with exactly
-     * the arithmetic of forward() on its own tensors — batched results
-     * are bitwise identical to per-request rollouts at any thread
-     * count and batch size.
+     * the arithmetic of a batch of one on its own tensors — batched
+     * results are bitwise identical to per-request rollouts at any
+     * thread count and batch size.
      *
-     * @param state required for RunMode::QuantDitto; its batch() must
+     * @param state required for the Ditto modes; its batch() must
      *        equal x's batch dimension.
      * @param counts per-request tallies (array of B, or null).
      */
     FloatTensor forwardBatch(const FloatTensor &x, RunMode mode,
-                             BatchDittoState *state,
-                             OpCounts *counts) const;
+                             DittoState *state, OpCounts *counts) const;
 
     /** Full reverse diffusion from the model's own seeded noise. */
     RolloutResult rollout(RunMode mode) const;
@@ -506,8 +499,7 @@ class CompiledModel
 
     /**
      * Execute one vector / structural / reshape node (everything the
-     * engines don't own) on the pass's value table. Shared verbatim
-     * by the single and batched quant executors: every op here is
+     * engines don't own) on the pass's value table. Every op here is
      * batch-general (stacked NCHW and row-stacked token matrices are
      * handled identically), and reshapes carry the bypass payload.
      */
@@ -518,11 +510,8 @@ class CompiledModel
     forwardFp32(const FloatTensor &x,
                 const std::function<void(int, const FloatTensor &)> *obs)
         const;
-    FloatTensor forwardQuant(const FloatTensor &x, bool use_ditto,
-                             bool approx, DittoState *state,
-                             OpCounts *counts) const;
     FloatTensor forwardQuantBatch(const FloatTensor &x, bool use_ditto,
-                                  bool approx, BatchDittoState *state,
+                                  bool approx, DittoState *state,
                                   OpCounts *counts) const;
 
     ModelSpec spec_;

@@ -3,7 +3,7 @@
  * BatchEngine: the execution core of the denoising server.
  *
  * One engine owns one in-flight batch: the stacked image tensor, the
- * stacked Ditto state (CompiledModel::BatchDittoState) and one slot
+ * stacked Ditto state (CompiledModel::DittoState) and one slot
  * record per request. The engine serves any CompiledModel — the
  * MiniUnet preset, the deep UNet, the DiT block or a custom spec. Requests join between steps (continuous batching), run
  * however many steps they individually asked for, and retire as they
@@ -120,7 +120,7 @@ class BatchEngine
          */
         bool approx = false;
         bool hasState = false;
-        CompiledModel::BatchDittoState::SlabState state;
+        CompiledModel::DittoState::SlabState state;
     };
 
     /**
@@ -196,7 +196,7 @@ class BatchEngine
     const CompiledModel &model_;
     const int64_t maxBatch_;
     FloatTensor x_; //!< stacked [active, inChannels, res, res]
-    CompiledModel::BatchDittoState state_;
+    CompiledModel::DittoState state_;
     std::vector<Slot> slots_;
     std::vector<OpCounts> stepCounts_; //!< per-step scratch
 };

@@ -44,7 +44,7 @@ ReuseCache::ReuseCache(ReuseCacheConfig cfg) : cfg_(cfg) {}
 
 void
 ReuseCache::store(const PrefixKey &key, FloatTensor image,
-                  CompiledModel::BatchDittoState::SlabState state,
+                  CompiledModel::DittoState::SlabState state,
                   bool has_state)
 {
     if (!cfg_.enabled() || key.steps <= 0)

@@ -6,7 +6,7 @@
  * Production diffusion traffic is heavily redundant — many requests
  * share (seed, conditioning, mode) and therefore share a bitwise-
  * identical timestep prefix. During rollout the server checkpoints a
- * slot's portable state (partial image + extracted BatchDittoState
+ * slot's portable state (partial image + extracted DittoState
  * slab + step counter) into this cache every
  * `ReuseCacheConfig::checkpointEvery` steps; when a matching request
  * is admitted later, the deepest cached prefix with steps < the
@@ -30,7 +30,7 @@
  *    are safe and an eviction only drops the cache's reference —
  *    in-flight installs keep the entry alive through
  *    SlabState::backRef, and slot-recycle paths drop that reference
- *    (BatchDittoState::resetSlab/removeSlab).
+ *    (DittoState::resetSlab/removeSlab).
  *  - Eviction is LRU under a byte budget (DITTO_REUSE_CAP_BYTES);
  *    0 disables the cache entirely.
  *  - Invalidation on spec or calibration change is by construction:
@@ -116,7 +116,7 @@ struct ReuseEntry
 {
     PrefixKey key;
     FloatTensor image; //!< [1, C, H, W] state after key.steps steps
-    CompiledModel::BatchDittoState::SlabState state;
+    CompiledModel::DittoState::SlabState state;
     bool hasState = false; //!< false: QuantDirect (no resident state)
     int64_t bytes = 0;     //!< accounted footprint of this entry
 };
@@ -140,7 +140,7 @@ class ReuseCache
      * outright — and counted — rather than pinned forever).
      */
     void store(const PrefixKey &key, FloatTensor image,
-               CompiledModel::BatchDittoState::SlabState state,
+               CompiledModel::DittoState::SlabState state,
                bool has_state);
 
     /**

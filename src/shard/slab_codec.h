@@ -7,7 +7,7 @@
  * serving layer already uses for preemption and reuse-cache
  * warm-starts: the partial image, the multiplier-lane tallies, the
  * step counters, and (for requests that carry resident DittoState) the
- * extracted BatchDittoState::SlabState — previous-input codes,
+ * extracted DittoState::SlabState — previous-input codes,
  * previous int32 outputs at the junction/emit slots, the primed flag
  * and the ApproxDitto skip counters. Encoding this unit makes a
  * request *relocatable*: it can migrate between shard workers, be

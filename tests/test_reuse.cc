@@ -4,7 +4,7 @@
  * prefix-key identity, cache store/lookup/eviction mechanics, bitwise
  * cold-vs-warm parity across presets, modes, batch shapes and thread
  * counts, cross-model invalidation through a shared cache, the
- * reuse fault points, the BatchDittoState backRef lifecycle, the
+ * reuse fault points, the DittoState backRef lifecycle, the
  * per-step rollout observer, and the metrics surface.
  */
 #include <gtest/gtest.h>
@@ -136,7 +136,7 @@ TEST(ReuseCacheTest, LookupReturnsDeepestPrefix)
     ReuseCache cache(bigCache());
     const PrefixBase base{1, 2, 3, RunMode::QuantDitto};
     const FloatTensor img(Shape{1, 2, 4, 4});
-    CompiledModel::BatchDittoState::SlabState state;
+    CompiledModel::DittoState::SlabState state;
     cache.store(PrefixKey{base, 2}, img, state, false);
     cache.store(PrefixKey{base, 4}, img, state, false);
 
@@ -179,7 +179,7 @@ TEST(ReuseCacheTest, EvictionUnderBytePressure)
     rc.checkpointEvery = 1;
     ReuseCache cache(rc);
     const FloatTensor img(Shape{1, 2, 8, 8});
-    CompiledModel::BatchDittoState::SlabState state;
+    CompiledModel::DittoState::SlabState state;
     for (uint64_t s = 0; s < 5; ++s)
         cache.store(PrefixKey{PrefixBase{1, s, 0, RunMode::QuantDitto},
                               2},
@@ -447,14 +447,14 @@ TEST(BackRefRegression, SlabRecycleDropsBackReference)
     // installed slab was holding (e.g. a reuse-cache entry), or a
     // recycled slot pins evicted entries forever.
     const CompiledModel &model = testModel();
-    CompiledModel::BatchDittoState st;
+    CompiledModel::DittoState st;
     st.appendSlabs(1);
     FloatTensor x = model.requestNoise(5);
     std::vector<OpCounts> counts(1);
     (void)model.forwardBatch(x, RunMode::QuantDitto, &st,
                              counts.data());
 
-    CompiledModel::BatchDittoState::SlabState slab = st.extractSlab(0);
+    CompiledModel::DittoState::SlabState slab = st.extractSlab(0);
     EXPECT_EQ(slab.backRef, nullptr); // extracted copies own buffers
 
     auto owner = std::make_shared<int>(7);
@@ -494,7 +494,7 @@ TEST(ObserverHook, StepObserverSeesEveryStep)
             seen.push_back(steps_done);
             last = x;
             if (steps_done == 1)
-                primed_after_first = state.primed;
+                primed_after_first = state.primed[0];
         });
     ASSERT_EQ(seen.size(), 5u);
     for (int i = 0; i < 5; ++i)

@@ -107,13 +107,12 @@ TEST(GoldenParity, BatchedRollouts)
                 p.legacy.requestNoise(static_cast<uint64_t>(50 + b)));
         for (RunMode mode :
              {RunMode::QuantDirect, RunMode::QuantDitto}) {
-            const std::vector<RolloutResult> want =
-                p.legacy.rolloutBatch(mode, noises);
             const std::vector<RolloutResult> got =
                 p.compiled.rolloutBatch(mode, noises);
-            ASSERT_EQ(want.size(), got.size());
-            for (size_t i = 0; i < want.size(); ++i)
-                expectRolloutParity(want[i], got[i]);
+            ASSERT_EQ(got.size(), noises.size());
+            for (size_t i = 0; i < noises.size(); ++i)
+                expectRolloutParity(p.legacy.rollout(mode, noises[i]),
+                                    got[i]);
         }
     }
 }
@@ -495,6 +494,63 @@ ditBlock()
     return *m;
 }
 
+/** The five executable preset specs at test geometry. */
+std::vector<ModelSpec>
+approxPresetSpecs()
+{
+    setenv("DITTO_NO_CACHE", "1", 0);
+    std::vector<ModelSpec> specs;
+    specs.push_back(miniUnetSpec(parityConfig()));
+    DeepUnetConfig du;
+    du.resolution = 8;
+    du.baseChannels = 8;
+    du.steps = 5;
+    specs.push_back(deepUnetSpec(du));
+    DitBlockConfig db;
+    db.resolution = 8;
+    db.embedDim = 16;
+    db.steps = 5;
+    specs.push_back(ditBlockSpec(db));
+    MhsaBlockConfig mh;
+    mh.resolution = 8;
+    mh.embedDim = 16;
+    mh.heads = 2;
+    mh.steps = 5;
+    specs.push_back(mhsaBlockSpec(mh));
+    DitAdaLnConfig da;
+    da.resolution = 8;
+    da.embedDim = 16;
+    da.steps = 5;
+    specs.push_back(ditAdaLnSpec(da));
+    return specs;
+}
+
+/** Every OpCounts field, compared one by one. */
+void
+expectSameCounts(const OpCounts &want, const OpCounts &got,
+                 const std::string &what)
+{
+    EXPECT_EQ(want.zeroSkipped, got.zeroSkipped) << what;
+    EXPECT_EQ(want.low4, got.low4) << what;
+    EXPECT_EQ(want.full8, got.full8) << what;
+    EXPECT_EQ(want.diffCalcElems, got.diffCalcElems) << what;
+    EXPECT_EQ(want.summationElems, got.summationElems) << what;
+    EXPECT_EQ(want.reusedElems, got.reusedElems) << what;
+}
+
+/** Image, every OpCounts field and the ApproxDitto skip log. */
+void
+expectSameRollout(const RolloutResult &want, const RolloutResult &got,
+                  const std::string &what)
+{
+    EXPECT_TRUE(want.finalImage == got.finalImage) << what;
+    expectSameCounts(want.dittoOps, got.dittoOps, what);
+    EXPECT_EQ(want.nodeSkips, got.nodeSkips) << what;
+}
+
+constexpr RunMode kQuantModes[] = {RunMode::QuantDirect, RunMode::QuantDitto,
+                                   RunMode::ApproxDitto};
+
 void
 expectSpecRunsEndToEnd(const CompiledModel &model)
 {
@@ -560,48 +616,54 @@ TEST(JunctionFlow, DeepUnetFoldsSkipConcatAndPoolJunctions)
     EXPECT_TRUE(reportOf(m, "mid_pv").diffBypass2);
 }
 
-TEST(JunctionFlow, BatchMixedPrimedSlabsMatchPerRequestHistories)
+/**
+ * Continuous-batching shape: three requests advance together, one is
+ * replaced mid-flight (resetSlab), so a single forwardBatch mixes
+ * primed slabs (difference path through junction folds and hand-overs)
+ * with an unprimed slab (direct path). Every slab must reproduce its
+ * own single-request history bitwise: each step's output, the
+ * accumulated OpCounts and the skip log.
+ */
+void
+expectBatchMatchesHistories(const CompiledModel &m, RunMode mode)
 {
-    // Continuous-batching shape: three requests advance together, one
-    // is replaced mid-flight (resetSlab), so a single forwardBatch
-    // mixes primed slabs (difference path through junction folds and
-    // hand-overs) with an unprimed slab (direct path). Every slab must
-    // reproduce its own single-request history bitwise.
-    const CompiledModel &m = deepUnet();
+    const std::string what = m.spec().name + " mode " +
+                             std::to_string(static_cast<int>(mode));
     const Shape one = m.inputShape();
     const int64_t slab = one.numel();
     const int64_t bsz = 3;
+    const uint8_t approx = mode == RunMode::ApproxDitto ? 1 : 0;
 
     std::vector<FloatTensor> x(static_cast<size_t>(bsz));
     std::vector<CompiledModel::DittoState> ref(static_cast<size_t>(bsz));
+    std::vector<OpCounts> ref_counts(static_cast<size_t>(bsz));
     for (int64_t b = 0; b < bsz; ++b)
         x[static_cast<size_t>(b)] =
             m.requestNoise(static_cast<uint64_t>(100 + b));
 
-    CompiledModel::BatchDittoState st;
-    st.primed.assign(static_cast<size_t>(bsz), 0);
+    CompiledModel::DittoState st;
+    st.appendSlabs(bsz);
+    st.approx.assign(static_cast<size_t>(bsz), approx);
+    std::vector<OpCounts> counts(static_cast<size_t>(bsz));
     FloatTensor xb(slab::withDim0(one, bsz));
-    auto stack = [&] {
+    auto step = [&] {
         for (int64_t b = 0; b < bsz; ++b)
             std::copy(x[static_cast<size_t>(b)].data().begin(),
                       x[static_cast<size_t>(b)].data().end(),
                       xb.data().begin() + b * slab);
-    };
-    auto step = [&] {
-        stack();
         const FloatTensor eps =
-            m.forwardBatch(xb, RunMode::QuantDitto, &st, nullptr);
+            m.forwardBatch(xb, mode, &st, counts.data());
         for (int64_t b = 0; b < bsz; ++b) {
             FloatTensor &xi = x[static_cast<size_t>(b)];
             FloatTensor ei(one);
             std::copy(eps.data().begin() + b * slab,
                       eps.data().begin() + (b + 1) * slab,
                       ei.data().begin());
-            const FloatTensor want = m.forward(
-                xi, RunMode::QuantDitto,
-                &ref[static_cast<size_t>(b)], nullptr);
+            const FloatTensor want =
+                m.forward(xi, mode, &ref[static_cast<size_t>(b)],
+                          &ref_counts[static_cast<size_t>(b)]);
             ASSERT_TRUE(want == ei)
-                << "slab " << b << " diverged from its own history";
+                << what << ": slab " << b << " diverged from its history";
             xi = add(xi, affine(ei, -0.15f, 0.0f));
         }
     };
@@ -610,10 +672,42 @@ TEST(JunctionFlow, BatchMixedPrimedSlabsMatchPerRequestHistories)
     step();
     // Request 1 finishes; a new one takes its slot.
     st.resetSlab(1);
+    st.approx[1] = approx;
+    counts[1] = OpCounts{};
     ref[1] = CompiledModel::DittoState{};
+    ref_counts[1] = OpCounts{};
     x[1] = m.requestNoise(555);
     step(); // slab 1 unprimed/direct, slabs 0 and 2 primed/diff
     step();
+    step();
+
+    const size_t nn = m.nodeReports().size();
+    for (int64_t b = 0; b < bsz; ++b) {
+        const std::string slab_what = what + " slab " + std::to_string(b);
+        expectSameCounts(ref_counts[static_cast<size_t>(b)],
+                         counts[static_cast<size_t>(b)], slab_what);
+        const std::vector<int64_t> &want =
+            ref[static_cast<size_t>(b)].skips;
+        if (want.empty()) {
+            EXPECT_TRUE(st.skips.empty()) << slab_what;
+            continue;
+        }
+        ASSERT_EQ(st.skips.size(), nn * static_cast<size_t>(bsz));
+        EXPECT_EQ(want, std::vector<int64_t>(
+                            st.skips.begin() + static_cast<int64_t>(nn) * b,
+                            st.skips.begin() +
+                                static_cast<int64_t>(nn) * (b + 1)))
+            << slab_what;
+    }
+}
+
+TEST(JunctionFlow, BatchMixedPrimedSlabsMatchPerRequestHistories)
+{
+    for (const ModelSpec &spec : approxPresetSpecs()) {
+        const CompiledModel m = compile(spec);
+        for (RunMode mode : kQuantModes)
+            expectBatchMatchesHistories(m, mode);
+    }
 }
 
 TEST(NewSpecs, DitBlockRunsEndToEnd)
@@ -757,37 +851,6 @@ TEST(NewSpecs, DitAdaLnServesThroughDenoiseServer)
  * threshold loosens.
  */
 
-/** The five executable preset specs at test geometry. */
-std::vector<ModelSpec>
-approxPresetSpecs()
-{
-    setenv("DITTO_NO_CACHE", "1", 0);
-    std::vector<ModelSpec> specs;
-    specs.push_back(miniUnetSpec(parityConfig()));
-    DeepUnetConfig du;
-    du.resolution = 8;
-    du.baseChannels = 8;
-    du.steps = 5;
-    specs.push_back(deepUnetSpec(du));
-    DitBlockConfig db;
-    db.resolution = 8;
-    db.embedDim = 16;
-    db.steps = 5;
-    specs.push_back(ditBlockSpec(db));
-    MhsaBlockConfig mh;
-    mh.resolution = 8;
-    mh.embedDim = 16;
-    mh.heads = 2;
-    mh.steps = 5;
-    specs.push_back(mhsaBlockSpec(mh));
-    DitAdaLnConfig da;
-    da.resolution = 8;
-    da.embedDim = 16;
-    da.steps = 5;
-    specs.push_back(ditAdaLnSpec(da));
-    return specs;
-}
-
 TEST(ApproxMode, ThresholdZeroBitwiseIdenticalOnEveryPreset)
 {
     for (const ModelSpec &spec : approxPresetSpecs()) {
@@ -828,35 +891,38 @@ TEST(ApproxMode, SkipDecisionsDeterministicAcrossThreadCounts)
 TEST(ApproxMode, BatchedSkipDecisionsMatchSequential)
 {
     // The probes see per-slab regions of the same codes a sequential
-    // rollout sees, so every slab must reproduce its single-request
-    // images, skip log and reuse tally at any batch size. (Full
-    // OpCounts lane tallies are NOT compared: a sequential skip
-    // bypasses the engine while a batched skip runs it over a zeroed
-    // region — same bits, different probe bookkeeping.)
-    setenv("DITTO_NO_CACHE", "1", 0);
-    DeepUnetConfig du;
-    du.resolution = 8;
-    du.baseChannels = 8;
-    du.steps = 5;
-    CompiledModel m = compile(deepUnetSpec(du));
-    m.setApproxPolicy(1.0, 2);
-    for (int64_t batch : {1, 3, 4}) {
-        std::vector<FloatTensor> noises;
-        for (int64_t b = 0; b < batch; ++b)
-            noises.push_back(
-                m.requestNoise(static_cast<uint64_t>(300 + b)));
-        const std::vector<RolloutResult> got =
-            m.rolloutBatch(RunMode::ApproxDitto, noises);
-        ASSERT_EQ(got.size(), noises.size());
-        for (size_t i = 0; i < noises.size(); ++i) {
-            const RolloutResult want =
-                m.rollout(RunMode::ApproxDitto, noises[i]);
-            EXPECT_TRUE(want.finalImage == got[i].finalImage)
-                << "batch " << batch << " slab " << i;
-            EXPECT_EQ(want.nodeSkips, got[i].nodeSkips);
-            EXPECT_EQ(want.dittoOps.reusedElems,
-                      got[i].dittoOps.reusedElems);
+    // rollout sees, so every slab of a batched rollout must reproduce
+    // its single-request rollout exactly — image, every OpCounts field
+    // and the skip log — on every preset, in every quantized mode and
+    // at any batch size: results never depend on how requests are
+    // grouped into batches. ApproxDitto runs twice: under the resolved
+    // default policy, where slabs of one batch decide differently, and
+    // under an aggressive one where every primed step skips.
+    auto check = [](const CompiledModel &m, RunMode mode,
+                    const std::string &label) {
+        for (int64_t batch : {1, 3, 4}) {
+            std::vector<FloatTensor> noises;
+            for (int64_t b = 0; b < batch; ++b)
+                noises.push_back(
+                    m.requestNoise(static_cast<uint64_t>(300 + b)));
+            const std::vector<RolloutResult> got =
+                m.rolloutBatch(mode, noises);
+            ASSERT_EQ(got.size(), noises.size());
+            for (size_t i = 0; i < noises.size(); ++i)
+                expectSameRollout(m.rollout(mode, noises[i]), got[i],
+                                  label + " batch " +
+                                      std::to_string(batch) + " slab " +
+                                      std::to_string(i));
         }
+    };
+    for (const ModelSpec &spec : approxPresetSpecs()) {
+        CompiledModel m = compile(spec);
+        for (RunMode mode : kQuantModes)
+            check(m, mode,
+                  spec.name + " mode " +
+                      std::to_string(static_cast<int>(mode)));
+        m.setApproxPolicy(1.0, 2);
+        check(m, RunMode::ApproxDitto, spec.name + " aggressive");
     }
 }
 
@@ -940,7 +1006,7 @@ TEST(ApproxMode, ResetSlabClearsApproxReuseState)
         std::copy(n.data().begin(), n.data().end(),
                   xb.data().begin() + b * slab);
     }
-    CompiledModel::BatchDittoState st;
+    CompiledModel::DittoState st;
     st.primed.assign(static_cast<size_t>(bsz), 0);
     st.approx.assign(static_cast<size_t>(bsz), 1);
     auto step = [&] {
@@ -1020,6 +1086,42 @@ TEST(ShapeValidation, ForwardBatchRejectsWrongGeometry)
                     bad, RunMode::QuantDirect, nullptr, nullptr),
                 testing::ExitedWithCode(1),
                 "does not stack model inputs");
+}
+
+TEST(ShapeValidation, ForwardSizesDefaultStateToOneSlab)
+{
+    // A single request is a batch of one: forward() sizes a
+    // default-constructed state to one slab, approx flag from the mode.
+    const CompiledModel &m = parityPair().compiled.compiled();
+    const FloatTensor x = m.requestNoise(3);
+    for (RunMode mode : kQuantModes) {
+        CompiledModel::DittoState st;
+        m.forward(x, mode, &st, nullptr);
+        if (mode == RunMode::QuantDirect) {
+            // Direct execution keeps no state, but the state is sized.
+            EXPECT_EQ(st.batch(), 1);
+            EXPECT_TRUE(st.prevIn.empty());
+            continue;
+        }
+        ASSERT_EQ(st.batch(), 1);
+        EXPECT_EQ(st.primed[0], 1);
+        EXPECT_EQ(st.approx[0], mode == RunMode::ApproxDitto ? 1 : 0);
+        EXPECT_EQ(st.prevIn.size(),
+                  static_cast<size_t>(m.numStateInSlots()));
+        EXPECT_EQ(st.prevOut.size(),
+                  static_cast<size_t>(m.numStateOutSlots()));
+    }
+}
+
+TEST(ShapeValidation, ForwardRejectsMultiSlabState)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const CompiledModel &m = parityPair().compiled.compiled();
+    const FloatTensor x = m.requestNoise(3);
+    CompiledModel::DittoState st;
+    st.appendSlabs(2);
+    EXPECT_EXIT(m.forward(x, RunMode::QuantDitto, &st, nullptr),
+                testing::ExitedWithCode(1), "one-slab DittoState");
 }
 
 TEST(ShapeValidation, ServerRejectsMalformedRequests)

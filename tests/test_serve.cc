@@ -254,8 +254,8 @@ TEST(BatchedOpsTest, FcEngineRunBatchMatchesRunDiffForceDiff)
     for (DiffPolicy policy : {DiffPolicy::Auto, DiffPolicy::ForceDiff}) {
         std::vector<OpCounts> counts(static_cast<size_t>(slabs));
         const Int32Tensor batched =
-            engine.runBatch(x, slabs, &prev_x, &prev_out, primed.data(),
-                            counts.data(), policy);
+            engine.runBatch(x, slabs, DiffOperand{.prev = &prev_x},
+                            &prev_out, primed.data(), counts.data(), policy);
         for (int64_t s = 0; s < slabs; ++s) {
             Int8Tensor xs(Shape{rows, in}), ps(Shape{rows, in});
             Int32Tensor os(Shape{rows, out});

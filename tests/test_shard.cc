@@ -33,6 +33,7 @@
 
 #include "common/bytes.h"
 #include "common/env.h"
+#include "common/net.h"
 #include "common/parallel.h"
 #include "runtime/compiled.h"
 #include "runtime/presets.h"
@@ -614,7 +615,7 @@ TEST(ReuseGeneration, ClearBumpsGenerationCountersSurvive)
     ReuseCache cache(rc);
     const PrefixBase base{1, 2, 3, RunMode::QuantDitto};
     cache.store(PrefixKey{base, 2}, FloatTensor(Shape{1, 1, 2, 2}),
-                CompiledModel::BatchDittoState::SlabState{}, false);
+                CompiledModel::DittoState::SlabState{}, false);
     ASSERT_TRUE(cache.lookup(base, 5));
     EXPECT_FALSE(cache.lookup(PrefixBase{9, 9, 9, RunMode::QuantDitto}, 5));
 
@@ -1002,6 +1003,29 @@ TEST(ShardTier, RouterRejectsMismatchedWorker)
     EXPECT_FALSE(router.addWorker(wb.socketPath(), &why));
     EXPECT_FALSE(why.empty());
     EXPECT_EQ(router.numWorkers(), 1);
+}
+
+TEST(UnixListener, CloseRacingAcceptNeverHangs)
+{
+    // close() from one thread while another is entering or blocked in
+    // accept(): every accept() must come back with -1, and the
+    // descriptor must stay reserved until the accepting thread has
+    // been joined, so no accept() can land on a reused number.
+    const std::string path = uniqueSocketPath();
+    for (int i = 0; i < 300; ++i) {
+        net::UnixListener listener;
+        std::string why;
+        ASSERT_TRUE(listener.listen(path, &why)) << why;
+        std::atomic<int> got{-2};
+        std::thread acceptor([&] { got.store(listener.accept()); });
+        // Vary how far the acceptor gets before close() lands.
+        for (int spin = 0; spin < i % 7; ++spin)
+            std::this_thread::yield();
+        listener.close();
+        acceptor.join();
+        EXPECT_EQ(got.load(), -1) << "iteration " << i;
+        EXPECT_FALSE(listener.listening());
+    }
 }
 
 } // namespace
