@@ -867,12 +867,17 @@ BM_AdderTreePe(benchmark::State &state)
 }
 BENCHMARK(BM_AdderTreePe)->Arg(1 << 12)->Arg(1 << 16);
 
+/**
+ * Args: {channels, spatial extent}. 8 channels at 8x8 is mini_unet's
+ * conv shape, 16 at 16x16 deep_unet's level-0 conv.
+ */
 void
 BM_Conv2dInt8(benchmark::State &state)
 {
     const int64_t ch = state.range(0);
+    const int64_t hw = state.range(1);
     Rng rng(8);
-    Int8Tensor input(Shape{1, ch, 16, 16});
+    Int8Tensor input(Shape{1, ch, hw, hw});
     input.fillUniformInt(rng, -127, 127);
     Int8Tensor weight(Shape{ch, ch, 3, 3});
     weight.fillUniformInt(rng, -127, 127);
@@ -881,9 +886,9 @@ BM_Conv2dInt8(benchmark::State &state)
         Int32Tensor out = conv2dInt8(input, weight, p);
         benchmark::DoNotOptimize(out.data().data());
     }
-    state.SetItemsProcessed(state.iterations() * ch * ch * 9 * 16 * 16);
+    state.SetItemsProcessed(state.iterations() * ch * ch * 9 * hw * hw);
 }
-BENCHMARK(BM_Conv2dInt8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2dInt8)->Args({8, 8})->Args({16, 16})->Args({32, 16});
 
 void
 BM_Conv2dInt8Naive(benchmark::State &state)
@@ -903,20 +908,26 @@ BM_Conv2dInt8Naive(benchmark::State &state)
 }
 BENCHMARK(BM_Conv2dInt8Naive)->Arg(16)->Arg(32);
 
+/** Args: {channels, spatial extent}, as for BM_Conv2dInt8. */
 void
 BM_Conv2dFloat(benchmark::State &state)
 {
     const int64_t ch = state.range(0);
-    const FloatTensor input = randomFloat(Shape{1, ch, 32, 32}, 9);
+    const int64_t hw = state.range(1);
+    const FloatTensor input = randomFloat(Shape{1, ch, hw, hw}, 9);
     const FloatTensor weight = randomFloat(Shape{ch, ch, 3, 3}, 10);
     const Conv2dParams p{ch, ch, 3, 1, 1};
     for (auto _ : state) {
         FloatTensor out = conv2d(input, weight, nullptr, p);
         benchmark::DoNotOptimize(out.data().data());
     }
-    state.SetItemsProcessed(state.iterations() * ch * ch * 9 * 32 * 32);
+    state.SetItemsProcessed(state.iterations() * ch * ch * 9 * hw * hw);
 }
-BENCHMARK(BM_Conv2dFloat)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_Conv2dFloat)
+    ->Args({8, 8})
+    ->Args({16, 32})
+    ->Args({32, 32})
+    ->Args({64, 32});
 
 void
 BM_Conv2dFloatNaive(benchmark::State &state)

@@ -193,7 +193,10 @@ class ByteReader
     {
         if (!need(n))
             return false;
-        std::memcpy(out, p_ + pos_, n);
+        // An empty tensor decodes into a null `out`; memcpy's pointers
+        // must be valid even for n == 0.
+        if (n != 0)
+            std::memcpy(out, p_ + pos_, n);
         pos_ += n;
         return true;
     }

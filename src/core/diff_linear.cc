@@ -434,7 +434,7 @@ DiffConvEngine::runDiff(const Int8Tensor &x, const Int8Tensor &prev_x,
         return runDirect(x);
 
     // The raw [Cin, H*W] difference slab is encoded per batch — no
-    // im2col expansion — and scattered through the cached transposed
+    // patch-matrix expansion — and scattered through the cached transposed
     // weights into a pixel-major delta; slabs execute through the
     // batched scatter so multi-batch tensors parallelize across slabs.
     std::vector<DiffGemmPlan> plans;

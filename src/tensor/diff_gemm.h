@@ -146,7 +146,7 @@ Int32Tensor diffGemm(const DiffGemmPlan &plan, const int8_t *b, int64_t n,
 /**
  * Sparse scatter convolution delta for one batch.
  *
- * `plan` encodes the *raw* difference slab [Cin, H*W] — no im2col
+ * `plan` encodes the *raw* difference slab [Cin, H*W] — no patch-matrix
  * expansion, so the Encoding Unit touches each difference value once
  * instead of K*K times. `wmat_t` points at the OIHW weight viewed as
  * [Cout, Cin*K*K] and transposed to [Cin*K*K, Cout] row-major (cached

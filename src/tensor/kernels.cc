@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -24,6 +25,14 @@
 #include "tensor/simd/simd.h"
 
 #define DITTO_RESTRICT __restrict__
+
+// Whole-vector widen + shuffle for the convolution panel packer.
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_shufflevector) && \
+    __has_builtin(__builtin_convertvector)
+#define DITTO_PANEL_SHUFFLE 1
+#endif
+#endif
 
 namespace ditto {
 namespace kernels {
@@ -101,19 +110,165 @@ packPanelA(const TA *DITTO_RESTRICT a, int64_t lda, int64_t row0,
 }
 
 /**
- * Pack one kNr-column panel of B, k-major, widened to TAcc.
+ * The B operand of the blocked GEMM, op(B)[k, n].
  *
- * trans_b selects the logical orientation: false reads row-major
- * B[k,n] (b[kk*ldb + col]), true reads row-major B[n,k] (b[col*ldb +
- * kk], i.e. the operand of a transposed product).
+ * A dense operand is a row-major matrix: trans_b false reads B[k,n]
+ * (b[k*ldb + n]), true reads B[n,k] (b[n*ldb + k], i.e. the operand
+ * of a transposed product).
+ *
+ * A convolution operand (koff set) is the patch matrix of one NCHW
+ * slab, read in place instead of built: op(B)[k, n] is
+ * b[koff[k] + stride * (oy*ldb + ox)] for output pixel n = oy*ow + ox,
+ * where b is the zero-padded input slab with row length ldb and
+ * koff[k] the offset of patch element k = (channel, kernel row,
+ * kernel column) in OIHW weight order.
+ */
+template <typename TB>
+struct BOperand
+{
+    const TB *b;
+    int64_t ldb;
+    bool trans_b = false;
+    const int64_t *koff = nullptr;
+    int64_t ow = 0;
+    int64_t stride = 1;
+};
+
+/**
+ * Where the kNr columns of one convolution panel sit in every K row of
+ * the padded slab. Output pixels on one output row are `stride` apart
+ * there, so the columns split into at most kNr runs, one per output
+ * row the panel touches: columns [j0, j0 + len) of a run read offsets
+ * off, off + stride, ... past the row's patch element.
+ */
+struct PanelColumns
+{
+    /** Layouts gatherPanelRow copies without per-column work. */
+    enum class Kind { kOneRun, kTwoHalfRuns, kGather };
+
+    struct Run
+    {
+        int64_t j0, len, off;
+    };
+
+    Run runs[kNr];
+    int64_t nruns = 0;
+    int64_t cols = 0;
+    int64_t stride = 1;
+    Kind kind = Kind::kGather;
+};
+
+/** Geometry of convolution panel columns [col0, col0 + cols). */
+template <typename TB>
+PanelColumns
+convPanelColumns(const BOperand<TB> &op, int64_t col0, int64_t cols)
+{
+    PanelColumns pc;
+    pc.cols = cols;
+    pc.stride = op.stride;
+    for (int64_t j = 0; j < cols;) {
+        const int64_t oy = (col0 + j) / op.ow;
+        const int64_t ox = (col0 + j) % op.ow;
+        const int64_t len = std::min(cols - j, op.ow - ox);
+        pc.runs[pc.nruns++] = {j, len, op.stride * (oy * op.ldb + ox)};
+        j += len;
+    }
+    // A full panel of stride-1 pixels on one output row (16-wide rows
+    // and wider) or on two 8-wide output rows.
+    if (op.stride == 1 && cols == kNr && pc.nruns == 1)
+        pc.kind = PanelColumns::Kind::kOneRun;
+    else if (op.stride == 1 && cols == kNr && pc.nruns == 2 &&
+             pc.runs[0].len == kNr / 2)
+        pc.kind = PanelColumns::Kind::kTwoHalfRuns;
+    return pc;
+}
+
+/**
+ * Copy one K row of a convolution panel, whose patch element sits at
+ * `src` in the padded slab, into row[0, kNr), zero past pc.cols.
+ */
+template <typename TB>
+void
+gatherPanelRow(const TB *DITTO_RESTRICT src, const PanelColumns &pc,
+               TB *DITTO_RESTRICT row)
+{
+    constexpr int64_t kHalf = kNr / 2;
+    switch (pc.kind) {
+      case PanelColumns::Kind::kOneRun:
+        std::memcpy(row, src + pc.runs[0].off, kNr * sizeof(TB));
+        return;
+      case PanelColumns::Kind::kTwoHalfRuns:
+        std::memcpy(row, src + pc.runs[0].off, kHalf * sizeof(TB));
+        std::memcpy(row + kHalf, src + pc.runs[1].off, kHalf * sizeof(TB));
+        return;
+      case PanelColumns::Kind::kGather:
+        break;
+    }
+    for (int64_t r = 0; r < pc.nruns; ++r) {
+        const PanelColumns::Run &run = pc.runs[r];
+        for (int64_t t = 0; t < run.len; ++t)
+            row[run.j0 + t] = src[run.off + t * pc.stride];
+    }
+    for (int64_t j = pc.cols; j < kNr; ++j)
+        row[j] = TB{0};
+}
+
+/**
+ * Widen two kNr-long panel rows (K indices k, k+1) to int16 and
+ * interleave them into one K pair: dst[2j + s] = row_s[j].
+ *
+ * GCC and Clang get it as one widening and one two-source shuffle of
+ * whole vectors; the auto-vectorizer turns the scalar loop below into
+ * per-element code several times slower. Both spell the same copy.
+ */
+template <typename TB>
+void
+interleavePair(const TB *DITTO_RESTRICT row0, const TB *DITTO_RESTRICT row1,
+               int16_t *DITTO_RESTRICT dst)
+{
+#ifdef DITTO_PANEL_SHUFFLE
+    static_assert(kNr == 16, "the shuffle below is spelled for kNr == 16");
+    typedef TB Row __attribute__((vector_size(kNr * sizeof(TB))));
+    typedef int16_t Wide
+        __attribute__((vector_size(kNr * sizeof(int16_t))));
+    typedef int16_t Pair
+        __attribute__((vector_size(2 * kNr * sizeof(int16_t))));
+    Row a, b;
+    std::memcpy(&a, row0, sizeof a);
+    std::memcpy(&b, row1, sizeof b);
+    const Pair out = __builtin_shufflevector(
+        __builtin_convertvector(a, Wide), __builtin_convertvector(b, Wide),
+        0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23, 8, 24, 9,
+        25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+    std::memcpy(dst, &out, sizeof out);
+#else
+    for (int64_t j = 0; j < kNr; ++j) {
+        dst[2 * j] = static_cast<int16_t>(row0[j]);
+        dst[2 * j + 1] = static_cast<int16_t>(row1[j]);
+    }
+#endif
+}
+
+/**
+ * Pack one kNr-column panel of op(B) (columns [col0, col0 + cols), K
+ * rows [k0, k0 + kcs)), k-major, widened to TAcc.
  */
 template <typename TB, typename TAcc>
 void
-packPanelB(const TB *DITTO_RESTRICT b, int64_t ldb, bool trans_b,
-           int64_t col0, int64_t cols, int64_t k0, int64_t kcs,
-           TAcc *DITTO_RESTRICT bp)
+packPanelB(const BOperand<TB> &op, int64_t col0, int64_t cols, int64_t k0,
+           int64_t kcs, TAcc *DITTO_RESTRICT bp)
 {
-    if (!trans_b) {
+    const TB *b = op.b;
+    const int64_t ldb = op.ldb;
+    if (op.koff) {
+        const PanelColumns pc = convPanelColumns(op, col0, cols);
+        TB row[kNr] = {};
+        for (int64_t kk = 0; kk < kcs; ++kk) {
+            gatherPanelRow(b + op.koff[k0 + kk], pc, row);
+            for (int64_t j = 0; j < kNr; ++j)
+                bp[kk * kNr + j] = static_cast<TAcc>(row[j]);
+        }
+    } else if (!op.trans_b) {
         for (int64_t kk = 0; kk < kcs; ++kk) {
             const TB *src = b + (k0 + kk) * ldb + col0;
             for (int64_t j = 0; j < kNr; ++j)
@@ -210,19 +365,36 @@ packPanelAPairs(const TA *DITTO_RESTRICT a, int64_t lda, int64_t row0,
 }
 
 /**
- * Pack one kNr-column panel of B as int16 in K-pair-interleaved order:
- * bp[p*2*kNr + j*2 + s] = B[k0 + 2p + s, col0 + j] (trans_b as in
- * packPanelB). One 32-bit lane then holds a column's (k, k+1) pair —
- * the operand shape of vpmaddwd / vpdpwssd and of a de-interleaving
- * vld2 on NEON.
+ * Pack one kNr-column panel of op(B) as int16 in K-pair-interleaved
+ * order: bp[p*2*kNr + j*2 + s] = op(B)[k0 + 2p + s, col0 + j]. One
+ * 32-bit lane then holds a column's (k, k+1) pair — the operand shape
+ * of vpmaddwd / vpdpwssd and of a de-interleaving vld2 on NEON.
  */
 template <typename TB>
 void
-packPanelBPairs(const TB *DITTO_RESTRICT b, int64_t ldb, bool trans_b,
-                int64_t col0, int64_t cols, int64_t k0, int64_t kcs,
-                int16_t *DITTO_RESTRICT bp)
+packPanelBPairs(const BOperand<TB> &op, int64_t col0, int64_t cols,
+                int64_t k0, int64_t kcs, int16_t *DITTO_RESTRICT bp)
 {
     const int64_t pairs = (kcs + 1) / 2;
+    if (op.koff) {
+        const PanelColumns pc = convPanelColumns(op, col0, cols);
+        TB row0[kNr] = {};
+        TB row1[kNr] = {};
+        for (int64_t p = 0; p < pairs; ++p) {
+            const int64_t kk = 2 * p;
+            gatherPanelRow(op.b + op.koff[k0 + kk], pc, row0);
+            // An odd block's last pair pads with zeros.
+            if (kk + 1 < kcs)
+                gatherPanelRow(op.b + op.koff[k0 + kk + 1], pc, row1);
+            else
+                std::fill(row1, row1 + kNr, TB{0});
+            interleavePair(row0, row1, bp + p * 2 * kNr);
+        }
+        return;
+    }
+    const TB *b = op.b;
+    const int64_t ldb = op.ldb;
+    const bool trans_b = op.trans_b;
     for (int64_t p = 0; p < pairs; ++p) {
         for (int64_t j = 0; j < kNr; ++j) {
             for (int64_t s = 0; s < 2; ++s) {
@@ -248,9 +420,8 @@ packPanelBPairs(const TB *DITTO_RESTRICT b, int64_t ldb, bool trans_b,
  */
 template <typename TA, typename TB>
 void
-gemmDriverPairs(const TA *a, int64_t lda, const TB *b, int64_t ldb,
-                bool trans_b, int32_t *c, int64_t ldc, int64_t m,
-                int64_t n, int64_t k,
+gemmDriverPairs(const TA *a, int64_t lda, const BOperand<TB> &bop,
+                int32_t *c, int64_t ldc, int64_t m, int64_t n, int64_t k,
                 void (*micro)(int64_t, const int16_t *, const int16_t *,
                               int32_t *))
 {
@@ -266,7 +437,7 @@ gemmDriverPairs(const TA *a, int64_t lda, const TB *b, int64_t ldb,
             int16_t *bpack_data = bpack.data();
             parallelFor(0, col_panels, [&](int64_t lo, int64_t hi) {
                 for (int64_t cp = lo; cp < hi; ++cp) {
-                    packPanelBPairs(b, ldb, trans_b, jc + cp * kNr,
+                    packPanelBPairs(bop, jc + cp * kNr,
                                     std::min(kNr, ncs - cp * kNr), kc, kcs,
                                     bpack_data + cp * kNr * 2 * pairs);
                 }
@@ -307,9 +478,9 @@ gemmDriverPairs(const TA *a, int64_t lda, const TB *b, int64_t ldb,
  */
 template <typename TA, typename TB, typename TAcc>
 void
-gemmDriver(const TA *a, int64_t lda, const TB *b, int64_t ldb,
-           bool trans_b, TAcc *c, int64_t ldc, int64_t m, int64_t n,
-           int64_t k, const float *bias = nullptr,
+gemmDriver(const TA *a, int64_t lda, const BOperand<TB> &bop, TAcc *c,
+           int64_t ldc, int64_t m, int64_t n, int64_t k,
+           const float *bias = nullptr,
            bool bias_per_row = false, Activation act = Activation::kNone)
 {
     // Integer products route through the dispatched pair micro-kernel
@@ -322,8 +493,7 @@ gemmDriver(const TA *a, int64_t lda, const TB *b, int64_t ldb,
                   std::is_same_v<TAcc, int32_t>) {
         if (auto *micro = simd::active().gemmMicroPairs;
             micro && !bias && act == Activation::kNone) {
-            gemmDriverPairs<TA, TB>(a, lda, b, ldb, trans_b, c, ldc, m, n,
-                                    k, micro);
+            gemmDriverPairs<TA, TB>(a, lda, bop, c, ldc, m, n, k, micro);
             return;
         }
     }
@@ -339,7 +509,7 @@ gemmDriver(const TA *a, int64_t lda, const TB *b, int64_t ldb,
             TAcc *bpack_data = bpack.data();
             parallelFor(0, col_panels, [&](int64_t lo, int64_t hi) {
                 for (int64_t cp = lo; cp < hi; ++cp) {
-                    packPanelB(b, ldb, trans_b, jc + cp * kNr,
+                    packPanelB(bop, jc + cp * kNr,
                                std::min(kNr, ncs - cp * kNr), kc, kcs,
                                bpack_data + cp * kNr * kcs);
                 }
@@ -401,81 +571,56 @@ gemmTensor(const Tensor<TA> &a, const Tensor<TB> &b, bool trans_b,
     if (bias)
         DITTO_ASSERT(bias->numel() == n, "gemm bias size mismatch");
     Tensor<TAcc> c(Shape{m, n});
-    gemmDriver<TA, TB, TAcc>(a.data().data(), k, b.data().data(),
-                             trans_b ? k : n, trans_b, c.data().data(), n,
-                             m, n, k,
+    gemmDriver<TA, TB, TAcc>(a.data().data(), k,
+                             {b.data().data(), trans_b ? k : n, trans_b},
+                             c.data().data(), n, m, n, k,
                              bias ? bias->data().data() : nullptr,
                              /*bias_per_row=*/false, act);
     return c;
 }
 
 /**
- * im2col: one batch of NCHW input -> patch matrix col[P, K] with
- * P = oh*ow and K = cin*kernel*kernel (OIHW weight order), zero-filled
- * where the window overhangs the padding border.
+ * Copy one NCHW slab [cin, h, w] into `out` [cin, h + 2*pad, w + 2*pad]
+ * with a zero border `pad` wide, so every kernel window of a padded
+ * convolution reads in bounds.
  */
-template <typename TIn>
+template <typename T>
 void
-im2col(const TIn *DITTO_RESTRICT in, int64_t h, int64_t w, int64_t cin,
-       const Conv2dParams &p, int64_t oh, int64_t ow,
-       TIn *DITTO_RESTRICT col)
+padSlab(const T *DITTO_RESTRICT in, int64_t cin, int64_t h, int64_t w,
+        int64_t pad, T *DITTO_RESTRICT out)
 {
-    const int64_t kk = p.kernel;
-    const int64_t patch = cin * kk * kk;
-    // Stride-1 pixels whose kernel window lies fully inside the input
-    // copy one contiguous kk-run per (channel, kernel row) with no
-    // per-element bounds checks; that is every pixel except a
-    // padding-wide border, i.e. almost all of them, and the branchy
-    // per-element path that used to dominate rollout profiles now only
-    // runs on the border.
-    parallelFor(0, oh * ow, [&](int64_t lo, int64_t hi) {
-        for (int64_t pix = lo; pix < hi; ++pix) {
-            const int64_t oy = pix / ow;
-            const int64_t ox = pix % ow;
-            TIn *DITTO_RESTRICT dst = col + pix * patch;
-            const bool interior =
-                p.stride == 1 && ox >= p.padding && ox - p.padding + kk <= w;
-            for (int64_t ic = 0; ic < cin; ++ic) {
-                const TIn *plane = in + ic * h * w;
-                for (int64_t ky = 0; ky < kk; ++ky) {
-                    const int64_t iy = oy * p.stride + ky - p.padding;
-                    if (iy < 0 || iy >= h) {
-                        for (int64_t kx = 0; kx < kk; ++kx)
-                            *dst++ = TIn{0};
-                        continue;
-                    }
-                    const TIn *DITTO_RESTRICT row = plane + iy * w;
-                    if (interior) {
-                        const TIn *DITTO_RESTRICT src =
-                            row + ox - p.padding;
-                        for (int64_t kx = 0; kx < kk; ++kx)
-                            *dst++ = src[kx];
-                        continue;
-                    }
-                    for (int64_t kx = 0; kx < kk; ++kx) {
-                        const int64_t ix = ox * p.stride + kx - p.padding;
-                        *dst++ = (ix >= 0 && ix < w) ? row[ix] : TIn{0};
-                    }
-                }
-            }
+    const int64_t wp = w + 2 * pad;
+    const int64_t plane = (h + 2 * pad) * wp;
+    for (int64_t ic = 0; ic < cin; ++ic) {
+        T *dst = out + ic * plane;
+        std::fill(dst, dst + pad * wp, T{0});
+        dst += pad * wp;
+        for (int64_t y = 0; y < h; ++y, dst += wp) {
+            const T *src = in + (ic * h + y) * w;
+            std::fill(dst, dst + pad, T{0});
+            std::copy(src, src + w, dst + pad);
+            std::fill(dst + pad + w, dst + wp, T{0});
         }
-    });
+        std::fill(dst, dst + pad * wp, T{0});
+    }
 }
 
 /**
  * Convolution of the batch range [batch0, batch0 + batches) of a
  * stacked NCHW input, lowered onto the blocked GEMM and written into
  * the same slabs of `out`: out[b] (viewed as [cout, oh*ow]) =
- * W[cout, K] * col[b]^T.
+ * W[cout, K] * P[b], where P[b] is slab b's [K, oh*ow] patch matrix.
  *
- * 1x1/stride-1/pad-0 convolutions skip im2col entirely: the input slab
- * [cin, h*w] already is the K x P operand in row-major order.
+ * P[b] is never built: the B packers read each panel straight from
+ * the slab through a per-K offset table (implicit GEMM). Padded convs
+ * first copy the slab once into a zero-bordered scratch slab, so the
+ * packers need no bounds checks. 1x1/stride-1/pad-0 convolutions feed
+ * the input slab [cin, h*w] to the dense packer as-is: it already is
+ * P[b] in row-major order.
  *
  * Multi-slab ranges run slab by slab, parallelized across slabs when
- * there are enough to occupy the pool. A column-folded single driver
- * call over all slabs was tried and measured slower (see the comment
- * at the batch loop), so batching a conv amortizes dispatch, not
- * packing.
+ * there are enough to occupy the pool (see the comment at the batch
+ * loop for why slabs are not folded into one driver call).
  */
 template <typename TIn, typename TW, typename TAcc>
 void
@@ -518,50 +663,61 @@ convBlockedInto(const Tensor<TIn> &input, const Tensor<TW> &weight,
     const TIn *in0 = input.data().data() + batch0 * cin * h * w;
     TAcc *out0 = out->data().data() + batch0 * p.outChannels * pix;
 
-    // Each slab runs its own im2col + GEMM. A single column-folded
-    // driver call over all slabs was tried here and measured *slower*:
-    // the folded packed-B working set (batches * pix * patch widened
-    // elements) falls out of L1/L2 exactly when batching matters, while
-    // the per-slab pack stays cache-resident. Batch amortization comes
-    // from the slab-parallel dispatch below and from the row-folded
-    // GEMMs of the token-matrix layers instead.
-    auto runBatch = [&](int64_t b, std::vector<TIn> &col) {
+    // Patch element k = (ic, ky, kx) sits koff[k] past a window's
+    // top-left corner in the (padded) slab.
+    const int64_t hp = h + 2 * p.padding;
+    const int64_t wp = w + 2 * p.padding;
+    std::vector<int64_t> koff;
+    if (!pointwise) {
+        koff.resize(static_cast<size_t>(patch));
+        for (int64_t ic = 0, k = 0; ic < cin; ++ic)
+            for (int64_t ky = 0; ky < p.kernel; ++ky)
+                for (int64_t kx = 0; kx < p.kernel; ++kx)
+                    koff[static_cast<size_t>(k++)] = (ic * hp + ky) * wp + kx;
+    }
+
+    // Each slab runs its own GEMM. A single column-folded driver call
+    // over all slabs was tried here and measured *slower*: its packed-B
+    // working set (batches * pix * patch widened elements) falls out of
+    // L1/L2 exactly when batching matters, while the per-slab pack stays
+    // cache-resident. Batch amortization comes from the slab-parallel
+    // dispatch below and from the row-folded GEMMs of the token-matrix
+    // layers instead.
+    auto runBatch = [&](int64_t b) {
         const TIn *in_slab = in0 + b * cin * h * w;
         TAcc *out_slab = out0 + b * p.outChannels * pix;
-        if (pointwise) {
-            // B = input slab [cin, pix] row-major, not transposed.
-            gemmDriver<TW, TIn, TAcc>(wmat, patch, in_slab, pix,
-                                      /*trans_b=*/false, out_slab, pix,
-                                      p.outChannels, pix, patch,
-                                      bias_data, /*bias_per_row=*/true,
-                                      act);
-        } else {
-            col.resize(static_cast<size_t>(pix * patch));
-            im2col(in_slab, h, w, cin, p, oh, ow, col.data());
-            // B = col [pix, patch] row-major, transposed product.
-            gemmDriver<TW, TIn, TAcc>(wmat, patch, col.data(), patch,
-                                      /*trans_b=*/true, out_slab, pix,
-                                      p.outChannels, pix, patch,
-                                      bias_data, /*bias_per_row=*/true,
-                                      act);
+        BOperand<TIn> bop{in_slab, pix};
+        if (!pointwise) {
+            if (p.padding > 0) {
+                // Per thread: slab-parallel workers each pad their own.
+                thread_local std::vector<TIn> padded;
+                padded.resize(static_cast<size_t>(cin * hp * wp));
+                padSlab(in_slab, cin, h, w, p.padding, padded.data());
+                bop.b = padded.data();
+            }
+            bop.ldb = wp;
+            bop.koff = koff.data();
+            bop.ow = ow;
+            bop.stride = p.stride;
         }
+        gemmDriver<TW, TIn, TAcc>(wmat, patch, bop, out_slab, pix,
+                                  p.outChannels, pix, patch, bias_data,
+                                  /*bias_per_row=*/true, act);
     };
     // Pick the parallel level by shape: enough batches to occupy the
     // pool -> parallelize across batches (inner parallelFor calls run
     // inline on the workers); few batches -> keep the batch loop
-    // serial and exploit the parallelism inside im2col and the GEMM
+    // serial and exploit the parallelism over the GEMM's column and
     // row panels. Either way each output element is produced by the
     // same fixed accumulation order, so results are identical.
     if (batches >= threadCount() && batches > 1) {
         parallelFor(0, batches, 1, [&](int64_t lo, int64_t hi) {
-            thread_local std::vector<TIn> col;
             for (int64_t b = lo; b < hi; ++b)
-                runBatch(b, col);
+                runBatch(b);
         });
     } else {
-        std::vector<TIn> col;
         for (int64_t b = 0; b < batches; ++b)
-            runBatch(b, col);
+            runBatch(b);
     }
 }
 
@@ -678,7 +834,7 @@ void
 gemmInt8Into(const int8_t *a, int64_t m, int64_t k, const int8_t *b,
              int64_t n, bool trans_b, int32_t *c)
 {
-    gemmDriver<int8_t, int8_t, int32_t>(a, k, b, trans_b ? k : n, trans_b,
+    gemmDriver<int8_t, int8_t, int32_t>(a, k, {b, trans_b ? k : n, trans_b},
                                         c, n, m, n, k);
 }
 

@@ -14,14 +14,16 @@
  *    loop. The K-block loop is serial, so each output element has a
  *    fixed accumulation order: integer results are bitwise identical
  *    at any thread count, float results are deterministic too.
- *  - Convolutions lower to the same GEMM via im2col (1x1/stride-1/
- *    pad-0 convolutions skip the copy and feed the input slab to the
- *    packer directly).
+ *  - Convolutions lower to the same GEMM as implicit GEMMs: the B
+ *    packer reads each panel of the patch matrix straight from the
+ *    (zero-padded) input slab through a per-K offset table, so no
+ *    patch matrix is ever built. 1x1/stride-1/pad-0 convolutions feed
+ *    the input slab to the dense packer as-is.
  *  - Bias and SiLU/GELU epilogues are fused into the GEMM/conv
  *    write-back instead of running as separate tensor passes.
- *  - GEMM row panels, im2col rows, conv batches (when there are
- *    enough to occupy the pool) and the elementwise/normalization ops
- *    are parallelized with common/parallel.h's parallelFor.
+ *  - GEMM row and column panels, conv batches (when there are enough
+ *    to occupy the pool) and the elementwise/normalization ops are
+ *    parallelized with common/parallel.h's parallelFor.
  */
 #ifndef DITTO_TENSOR_KERNELS_H
 #define DITTO_TENSOR_KERNELS_H
@@ -101,7 +103,7 @@ Int32Tensor gemmDiffInt16(const Int16Tensor &a, const Int8Tensor &b,
 /** @} */
 
 /**
- * @name im2col convolutions on the blocked GEMM
+ * @name Implicit-GEMM convolutions on the blocked GEMM
  *
  * Input NCHW, weight OIHW; float conv fuses bias [O] and activation.
  * @{

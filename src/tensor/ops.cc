@@ -19,7 +19,7 @@ namespace ditto {
 
 namespace {
 
-/** Shared im2col-free convolution loop, templated over element types. */
+/** Shared direct convolution loop, templated over element types. */
 template <typename In, typename W, typename Out>
 Tensor<Out>
 convLoop(const Tensor<In> &input, const Tensor<W> &weight,

@@ -169,7 +169,7 @@ Int32Tensor matmulTransposedDiffPlan(const DiffGemmPlan &plan,
 
 /**
  * Sparse conv delta for one batch: `plan` encodes the raw difference
- * slab [Cin, H*W] (no im2col expansion); `wmat_t` is the OIHW weight
+ * slab [Cin, H*W] (no patch-matrix expansion); `wmat_t` is the OIHW weight
  * viewed as [Cout, Cin*K*K], transposed, and `wrev_t` its kx-reversed
  * regrouping for the stride-1 interior fast path — see
  * kernels::convDiffScatter. Returns pixel-major [OH*OW, Cout].

@@ -141,6 +141,14 @@ const ConvCase kConvCases[] = {
     {3, 5, 8, 6, 3, 2, 1},   {4, 4, 9, 9, 5, 1, 2},
     {5, 2, 11, 7, 3, 3, 0},  {8, 16, 6, 6, 1, 1, 0},
     {2, 7, 10, 4, 5, 2, 3},  {6, 3, 12, 12, 7, 2, 3},
+    // Shapes where the implicit-GEMM panel packer branches: 16-wide
+    // output rows, one per panel (deep_unet's level-0 conv); 8-wide
+    // rows, two per panel (mini_unet's); 20-wide rows split across
+    // panels; K = 261, past one 256-deep block and odd; stride 2 with
+    // padding over full panels.
+    {16, 16, 16, 16, 3, 1, 1}, {8, 8, 8, 8, 3, 1, 1},
+    {3, 5, 6, 20, 3, 1, 1},    {29, 6, 7, 9, 3, 1, 1},
+    {4, 6, 34, 34, 3, 2, 1},
 };
 
 TEST(KernelsParity, Conv2dFloatStridePadding)
@@ -248,6 +256,16 @@ TEST(KernelsDeterminism, ThreadCountInvariance)
     const FloatTensor af = randomFloat(Shape{37, 129}, 35);
     const FloatTensor bf = randomFloat(Shape{129, 53}, 36);
     checkThreadInvariance([&] { return matmul(af, bf); }, false);
+    const Conv2dParams fp{5, 7, 3, 1, 1};
+    const FloatTensor fx = randomFloat(Shape{1, 5, 16, 20}, 38);
+    const FloatTensor fw = randomFloat(Shape{7, 5, 3, 3}, 39);
+    const FloatTensor fb = randomFloat(Shape{7}, 40);
+    checkThreadInvariance(
+        [&] {
+            return kernels::conv2d(fx, fw, &fb, fp,
+                                   kernels::Activation::kSiLU);
+        },
+        false);
     const FloatTensor x4 = randomFloat(Shape{2, 6, 9, 9}, 37);
     checkThreadInvariance([&] { return groupNorm(x4, 2, 1e-5f); }, false);
     setThreadCount(1);
@@ -507,9 +525,13 @@ TEST(SimdDispatch, ThreadInvarianceAtEveryLevel)
     const Int16Tensor diff = mixDiff(Shape{21, 129}, 60, 25, 502);
     const DiffGemmPlan plan = encodeDiff(diff);
     const Int8Tensor pb = randomInt8(Shape{129, 53}, 503);
+    const Conv2dParams cp{8, 8, 3, 1, 1};
+    const Int8Tensor cx = randomInt8(Shape{1, 8, 16, 20}, 504);
+    const Int8Tensor cw = randomInt8(Shape{8, 8, 3, 3}, 505);
     for (simd::Level level : simd::availableLevels()) {
         simd::setLevel(level);
         checkThreadInvariance([&] { return matmulInt8(a8, b8); }, true);
+        checkThreadInvariance([&] { return conv2dInt8(cx, cw, cp); }, true);
         checkThreadInvariance(
             [&] {
                 return kernels::diffGemm(plan, pb.data().data(), 53,
